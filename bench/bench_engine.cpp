@@ -1,11 +1,13 @@
 // Event-kernel microbenchmark: dispatch throughput in events per second.
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
-// always build it.  Five workloads stress the kernel paths the rest of
+// always build it.  Six workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
 //   dispatch    N one-shot callbacks pre-loaded into the calendar
 //   delayloop   a coroutine hopping through co_await delay(1.0)
+//   fracdelay   64 coroutines hopping through non-integral delays, so
+//               every wake-up takes the heap, not the timing wheel
 //   pingpong    two coroutines volleying through a pair of mailboxes
 //   timerwheel  W self-rescheduling timers with staggered periods
 //   cancelheavy timeout pattern: every op arms a far-future timeout and
@@ -98,6 +100,28 @@ des::Process delay_loop(des::Simulation& sim, std::uint64_t hops) {
 Sample run_delayloop(std::uint64_t events) {
   return time_run(
       [&](des::Simulation& sim) { sim.spawn(delay_loop(sim, events)); });
+}
+
+// --- fracdelay: coroutines on the heap path ----------------------------
+
+des::Process frac_loop(des::Simulation& sim, double period,
+                       std::uint64_t hops) {
+  // Starting at a quarter cycle and hopping by n + 0.5 keeps every wake-up
+  // at a time ending in .25 or .75: never integral, so never wheeled.
+  co_await des::delay(sim, 0.25);
+  for (std::uint64_t i = 1; i < hops; ++i) {
+    co_await des::delay(sim, period);
+  }
+}
+
+Sample run_fracdelay(std::uint64_t events) {
+  constexpr std::uint64_t kProcs = 64;
+  return time_run([&](des::Simulation& sim) {
+    for (std::uint64_t p = 0; p < kProcs; ++p) {
+      sim.spawn(frac_loop(sim, static_cast<double>(1 + p % 16) + 0.5,
+                          events / kProcs));
+    }
+  });
 }
 
 // --- pingpong: two coroutines, two mailboxes ----------------------------
@@ -197,7 +221,8 @@ int main(int argc, char** argv) {
     std::vector<WorkloadResult> results;
     std::uint64_t pingpong_events_once = 0;
     for (const char* name :
-         {"dispatch", "delayloop", "pingpong", "timerwheel", "cancelheavy"}) {
+         {"dispatch", "delayloop", "fracdelay", "pingpong", "timerwheel",
+          "cancelheavy"}) {
       WorkloadResult r;
       r.name = name;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -206,6 +231,8 @@ int main(int argc, char** argv) {
           s = run_dispatch(events);
         } else if (r.name == "delayloop") {
           s = run_delayloop(events);
+        } else if (r.name == "fracdelay") {
+          s = run_fracdelay(events);
         } else if (r.name == "pingpong") {
           s = run_pingpong(events);
           // Dispatch determinism smoke: every repetition of the same

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -140,7 +141,10 @@ int run_figure(int argc, char** argv, Fn&& generate) {
                              std::chrono::steady_clock::now() - start)
                              .count();
     emit(table, cfg);
-    std::cerr << "# generated in " << elapsed << " s\n";
+    std::ostringstream line;
+    line << "# generated in " << std::fixed << std::setprecision(6) << elapsed
+         << " s\n";
+    std::cerr << line.str();
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -53,8 +53,10 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) {
 std::uint64_t Rng::geometric(double p) {
   require(p > 0.0 && p <= 1.0, "Rng::geometric: p must be in (0,1]");
   if (p == 1.0) return 0;
-  std::geometric_distribution<std::uint64_t> d(p);
-  return d(engine_);
+  if (p != geometric_.p()) {
+    geometric_.param(std::geometric_distribution<std::uint64_t>::param_type(p));
+  }
+  return geometric_(engine_);
 }
 
 double Rng::exponential(double mean) {

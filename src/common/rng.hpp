@@ -105,6 +105,10 @@ class Rng {
   explicit Rng(Derived derived) : engine_(derived.value), base_(derived.value) {}
   Xoshiro256pp engine_;
   std::uint64_t base_;
+  // geometric()'s distribution for the last p drawn with: the
+  // distribution is stateless, so reusing it only skips rebuilding
+  // log(1 - p) and the draws stay bitwise identical.
+  std::geometric_distribution<std::uint64_t> geometric_;
 };
 
 }  // namespace pimsim

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <limits>
 #include <memory>
@@ -370,7 +371,10 @@ int cmd_run(const std::vector<std::string>& args) {
   if (!trace_path.empty()) write_trace_file(trace_path);
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
   if (profile) report_profile(std::cerr);
-  std::cerr << "# generated in " << elapsed << " s\n";
+  std::ostringstream line;
+  line << "# generated in " << std::fixed << std::setprecision(6) << elapsed
+       << " s\n";
+  std::cerr << line.str();
   return 0;
 }
 

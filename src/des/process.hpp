@@ -55,7 +55,7 @@ class Process {
       if (state->sim != nullptr) {
         for (auto j : state->joiners) state->sim->resume_soon(j);
         state->joiners.clear();
-        state->sim->unregister_process(h);
+        state->sim->unregister_process(h.promise().hook);
       }
       h.destroy();
     }
@@ -64,6 +64,7 @@ class Process {
 
   struct promise_type {
     std::shared_ptr<State> state = std::make_shared<State>();
+    ProcessHook hook;  // the kernel's live-registry entry
 
     Process get_return_object() {
       return Process(handle_type::from_promise(*this), state);
@@ -121,7 +122,8 @@ class Process {
   handle_type release_for_spawn(Simulation& sim) {
     state_->sim = &sim;
     state_->spawned = true;
-    sim.register_process(handle_);
+    handle_.promise().hook.frame = handle_.address();
+    sim.register_process(handle_.promise().hook);
     return std::exchange(handle_, nullptr);
   }
 

@@ -1,6 +1,7 @@
 #include "des/simulation.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -63,9 +64,8 @@ Simulation::~Simulation() {
   destroying_ = true;
   auto frames = std::move(live_order_);
   live_order_.clear();
-  live_index_.clear();
-  for (void* addr : frames) {
-    std::coroutine_handle<>::from_address(addr).destroy();
+  for (const ProcessHook* hook : frames) {
+    std::coroutine_handle<>::from_address(hook->frame).destroy();
   }
   // Pending EventActions (and anything they own) die with slots_.
   if (audit_) AuditRegistry::global().absorb(*audit_);
@@ -204,61 +204,175 @@ void Simulation::compact_calendar() {
   }
   now_queue_.resize(write);
   now_head_ = 0;
+  // Filter every wheel bucket's FIFO in place, preserving its order.
+  for (std::size_t w = 0; w < kWheelWords; ++w) {
+    for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      WheelBucket& bucket = wheel_buckets_[b];
+      std::uint32_t last = kNoSlot;
+      for (std::uint32_t node = bucket.head; node != kNoSlot;) {
+        const WheelNode entry = wheel_nodes_[node];
+        if (slots_[entry.slot].generation == entry.gen) {
+          if (last == kNoSlot) {
+            bucket.head = node;
+          } else {
+            wheel_nodes_[last].next = node;
+          }
+          last = node;
+        } else {
+          wheel_free_node(node);
+          --wheel_size_;
+          ++removed;
+        }
+        node = entry.next;
+      }
+      if (last == kNoSlot) {
+        wheel_clear_bit(b);
+      } else {
+        wheel_nodes_[last].next = kNoSlot;
+        bucket.tail = last;
+      }
+    }
+  }
   stale_ -= removed;
+}
+
+// --- timing wheel --------------------------------------------------------
+
+std::size_t Simulation::wheel_front_bucket() const {
+  // Every wheel entry lies in [floor(now), floor(now) + kWheelSpan), so
+  // scanning the buckets cyclically from floor(now)'s is time order.  The
+  // summary word finds the next non-empty bitmap word without a loop.
+  const std::size_t start = static_cast<std::size_t>(now_tick_) & kWheelMask;
+  const std::size_t w0 = start / 64;
+  const std::uint64_t here = wheel_bits_[w0] & (~std::uint64_t{0} << (start % 64));
+  if (here != 0) return w0 * 64 + static_cast<std::size_t>(std::countr_zero(here));
+  // Words after w0 first; failing those, wrap around to words 0..w0
+  // (w0's set bits then all lie below `start`).
+  std::uint64_t words = wheel_summary_ & ~((std::uint64_t{2} << w0) - 1);
+  if (words == 0) words = wheel_summary_;
+  const auto w = static_cast<std::size_t>(std::countr_zero(words));
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(wheel_bits_[w]));
+}
+
+void Simulation::wheel_clear_bit(std::size_t bucket) {
+  std::uint64_t& word = wheel_bits_[bucket / 64];
+  word &= ~(std::uint64_t{1} << (bucket % 64));
+  if (word == 0) wheel_summary_ &= ~(std::uint64_t{1} << (bucket / 64));
+}
+
+void Simulation::wheel_free_node(std::uint32_t node) {
+  wheel_nodes_[node].next = wheel_free_;
+  wheel_free_ = node;
+}
+
+void Simulation::wheel_pop_front(std::size_t bucket) {
+  WheelBucket& b = wheel_buckets_[bucket];
+  const std::uint32_t node = b.head;
+  if (node == b.tail) {
+    wheel_clear_bit(bucket);
+  } else {
+    b.head = wheel_nodes_[node].next;
+  }
+  wheel_free_node(node);
+  --wheel_size_;
 }
 
 // --- dispatch ------------------------------------------------------------
 
-// Pops the next live event in global (time, seq) order into `out`,
-// merging the heap with the immediate lane and lazily retiring stale
-// (cancelled) entries from both.  With `bounded`, live events beyond
-// `horizon` are left in place and false is returned.
+void Simulation::advance_to(SimTime t) {
+  now_ = t;
+  if (t < kWheelTimeCap) {
+    now_tick_ = static_cast<std::int64_t>(t);
+    wheel_limit_ = static_cast<SimTime>(now_tick_ + static_cast<std::int64_t>(kWheelSpan));
+  }
+}
+
+// Pops the next live event in global (time, seq) order into `out`.  Each
+// of the immediate lane, the wheel's first bucket and the heap yields its
+// own entries in key order, so the smallest of their three front keys is
+// the global minimum — the same event a single heap holding everything
+// would pop.  Stale (cancelled) fronts are retired lazily.  With
+// `bounded`, live events beyond `horizon` are left in place and false is
+// returned.
 bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
+  enum class Source { kNone, kLane, kWheel, kHeap };
   for (;;) {
-    const bool have_now = now_head_ < now_queue_.size();
-    const bool have_heap = !heap_.empty();
-    if (!have_now && !have_heap) return false;
-    bool use_now = have_now;
-    if (have_now && have_heap) {
-      // Lane entries are all at time now_; a heap entry only precedes the
-      // lane front if it is at now_ with an older sequence number — one
-      // wide-key compare covers both fields.
-      if (heap_.front().key < heap_key(now_, now_queue_[now_head_].seq)) {
-        use_now = false;
+    Source source = Source::kNone;
+    unsigned __int128 best = 0;
+    if (now_head_ < now_queue_.size()) {
+      source = Source::kLane;
+      best = heap_key(now_, now_queue_[now_head_].seq);
+    }
+    // Wheel entries can sit at exactly now_ with an older seq than the
+    // lane front (scheduled before now_ reached their cycle), so the
+    // wheel competes with the lane as well as with the heap.
+    std::size_t bucket = 0;
+    if (wheel_size_ != 0) {
+      bucket = wheel_front_bucket();
+      const unsigned __int128 key =
+          wheel_nodes_[wheel_buckets_[bucket].head].key;
+      if (source == Source::kNone || key < best) {
+        source = Source::kWheel;
+        best = key;
       }
     }
-    if (use_now) {
-      const NowEntry entry = now_queue_[now_head_++];
-      if (now_head_ == now_queue_.size()) {
-        now_queue_.clear();
-        now_head_ = 0;
-      } else if (now_head_ >= kCompactFloor &&
-                 now_head_ * 2 >= now_queue_.size()) {
-        // Sustained same-time cascades can keep the lane non-empty for a
-        // whole timestamp; reclaim the consumed prefix once it dominates
-        // so lane memory stays O(pending), not O(events at this time).
-        now_queue_.erase(now_queue_.begin(),
-                         now_queue_.begin() +
-                             static_cast<std::ptrdiff_t>(now_head_));
-        now_head_ = 0;
-      }
-      if (slots_[entry.slot].generation != entry.gen) {
-        --stale_;
-        continue;
-      }
-      out = HeapEntry{heap_key(now_, entry.seq), entry.slot, entry.gen};
-      return true;
+    if (!heap_.empty() &&
+        (source == Source::kNone || heap_.front().key < best)) {
+      source = Source::kHeap;
     }
-    const HeapEntry entry = heap_.front();
-    if (slots_[entry.slot].generation != entry.gen) {
-      heap_pop_top();
-      --stale_;
-      continue;
+    switch (source) {
+      case Source::kNone:
+        return false;
+      case Source::kLane: {
+        const NowEntry entry = now_queue_[now_head_++];
+        if (now_head_ == now_queue_.size()) {
+          now_queue_.clear();
+          now_head_ = 0;
+        } else if (now_head_ >= kCompactFloor &&
+                   now_head_ * 2 >= now_queue_.size()) {
+          // Sustained same-time cascades can keep the lane non-empty for
+          // a whole timestamp; reclaim the consumed prefix once it
+          // dominates so lane memory stays O(pending), not O(events at
+          // this time).
+          now_queue_.erase(now_queue_.begin(),
+                           now_queue_.begin() +
+                               static_cast<std::ptrdiff_t>(now_head_));
+          now_head_ = 0;
+        }
+        if (slots_[entry.slot].generation != entry.gen) {
+          --stale_;
+          continue;
+        }
+        out = HeapEntry{heap_key(now_, entry.seq), entry.slot, entry.gen};
+        return true;
+      }
+      case Source::kWheel: {
+        const WheelNode& node = wheel_nodes_[wheel_buckets_[bucket].head];
+        const HeapEntry entry{node.key, node.slot, node.gen};
+        if (slots_[entry.slot].generation != entry.gen) {
+          wheel_pop_front(bucket);
+          --stale_;
+          continue;
+        }
+        if (bounded && entry.time() > horizon) return false;
+        wheel_pop_front(bucket);
+        out = entry;
+        return true;
+      }
+      case Source::kHeap: {
+        const HeapEntry entry = heap_.front();
+        if (slots_[entry.slot].generation != entry.gen) {
+          heap_pop_top();
+          --stale_;
+          continue;
+        }
+        if (bounded && entry.time() > horizon) return false;
+        heap_pop_top();
+        out = entry;
+        return true;
+      }
     }
-    if (bounded && entry.time() > horizon) return false;
-    heap_pop_top();
-    out = entry;
-    return true;
   }
 }
 
@@ -268,14 +382,15 @@ void Simulation::dispatch(const HeapEntry& entry) {
   // cancel, and must observe this event as already dispatched.
   EventAction action = std::move(slots_[entry.slot].action);
   release_slot(entry.slot);
-  // Heap corruption that survives pop_next's sift repair still surfaces
-  // as an out-of-order dispatch; in audit mode that is fatal, not silent.
+  // Calendar corruption that survives pop_next's repair (a heap sift, a
+  // wheel bucket pop) still surfaces as an out-of-order dispatch; in
+  // audit mode that is fatal, not silent.
   if (audit_) {
     ensure(entry.time() >= now_,
            "Simulation audit: dispatch time moved backwards (calendar "
            "order violated)");
   }
-  now_ = entry.time();
+  advance_to(entry.time());
   current_seq_ = entry.seq();
   ++dispatched_;
   if (tracer_) {
@@ -343,7 +458,7 @@ void Simulation::run_until(SimTime horizon) {
     dispatch(entry);
     rethrow_pending();
   }
-  now_ = horizon;
+  advance_to(horizon);
 }
 
 bool Simulation::step() {
@@ -390,14 +505,75 @@ void Simulation::audit_check_now() const {
     ensure(slot.generation != 0,
            "Simulation audit: slot generation hit the 0 sentinel");
   }
+  audit_wheel();
   // Calendar: stale entries are a subset of calendar entries.
   ensure(stale_ <= calendar_entries(),
          "Simulation audit: stale count exceeds calendar size");
 }
 
-void Simulation::corrupt_heap_for_test() {
+void Simulation::audit_wheel() const {
+  // Each non-empty bucket holds one integral time inside the wheel
+  // window, mapped to that bucket, in strictly increasing seq order; the
+  // summary word mirrors the bitmap; pooled nodes are either chained in
+  // a bucket or on the free list.
+  std::size_t chained = 0;
+  for (std::size_t w = 0; w < kWheelWords; ++w) {
+    ensure(((wheel_summary_ >> w) & 1U) == (wheel_bits_[w] != 0 ? 1U : 0U),
+           "Simulation audit: wheel summary word disagrees with bitmap");
+    for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
+      const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      const WheelBucket& bucket = wheel_buckets_[b];
+      std::uint64_t prev_seq = 0;
+      std::uint32_t last = kNoSlot;
+      for (std::uint32_t node = bucket.head; node != kNoSlot;
+           node = wheel_nodes_[node].next) {
+        ensure(node < wheel_nodes_.size(),
+               "Simulation audit: wheel node index out of range");
+        ensure(++chained <= wheel_nodes_.size(), "Simulation audit: wheel chain cycle");
+        const HeapEntry entry{wheel_nodes_[node].key, 0, 0};
+        const SimTime t = entry.time();
+        ensure(t >= now_ && t < wheel_limit_ &&
+                   static_cast<SimTime>(static_cast<std::int64_t>(t)) == t &&
+                   (static_cast<std::size_t>(static_cast<std::int64_t>(t)) & kWheelMask) == b,
+               "Simulation audit: wheel entry outside its bucket's cycle");
+        ensure(entry.seq() > prev_seq,
+               "Simulation audit: wheel bucket out of seq order");
+        prev_seq = entry.seq();
+        last = node;
+      }
+      ensure(last != kNoSlot && last == bucket.tail,
+             "Simulation audit: wheel bucket head/tail broken");
+    }
+  }
+  ensure(chained == wheel_size_,
+         "Simulation audit: wheel size disagrees with its buckets");
+  std::size_t free_nodes = 0;
+  for (std::uint32_t node = wheel_free_; node != kNoSlot;
+       node = wheel_nodes_[node].next) {
+    ensure(node < wheel_nodes_.size() && ++free_nodes <= wheel_nodes_.size(),
+           "Simulation audit: wheel free list broken");
+  }
+  ensure(free_nodes + wheel_size_ == wheel_nodes_.size(),
+         "Simulation audit: wheel node accounting mismatch");
+}
+
+void Simulation::corrupt_calendar_for_test() {
+  if (wheel_size_ >= 2) {
+    // First and last chained nodes, in bitmap order.
+    std::uint32_t first = kNoSlot;
+    std::uint32_t last = kNoSlot;
+    for (std::size_t w = 0; w < kWheelWords; ++w) {
+      for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
+        const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (first == kNoSlot) first = wheel_buckets_[b].head;
+        last = wheel_buckets_[b].tail;
+      }
+    }
+    std::swap(wheel_nodes_[first].key, wheel_nodes_[last].key);
+    return;
+  }
   ensure(heap_.size() >= 2,
-         "corrupt_heap_for_test: needs >= 2 future events");
+         "corrupt_calendar_for_test: needs >= 2 wheel or heap entries");
   std::swap(heap_.front().key, heap_.back().key);
 }
 
@@ -411,24 +587,20 @@ void Simulation::spawn(Process process) {
   resume_soon(h);
 }
 
-void Simulation::register_process(std::coroutine_handle<> h) {
-  live_index_.emplace(h.address(), live_order_.size());
-  live_order_.push_back(h.address());
+void Simulation::register_process(ProcessHook& hook) {
+  hook.live_pos = live_order_.size();
+  live_order_.push_back(&hook);
 }
 
-void Simulation::unregister_process(std::coroutine_handle<> h) {
+void Simulation::unregister_process(ProcessHook& hook) {
   if (destroying_) return;
-  const auto it = live_index_.find(h.address());
-  if (it == live_index_.end()) return;
+  const std::size_t pos = hook.live_pos;
   // Swap-and-pop: O(1), and deterministic because the sequence of
   // register/unregister calls is itself deterministic — addresses are
-  // only keys, never ordered over.
-  const std::size_t pos = it->second;
-  live_index_.erase(it);
-  if (pos + 1 != live_order_.size()) {
-    live_order_[pos] = live_order_.back();
-    live_index_[live_order_[pos]] = pos;
-  }
+  // never ordered over.
+  ProcessHook* moved = live_order_.back();
+  live_order_[pos] = moved;
+  moved->live_pos = pos;
   live_order_.pop_back();
   if (tracer_) trace(TraceKind::kProcessFinished, lbl_process_);
 }

@@ -15,23 +15,33 @@
 // scheduling order, so a model that uses only Simulation-provided
 // primitives and pimsim::Rng streams is bit-reproducible.
 //
-// Internals (see README "Event kernel architecture"): events live in a
-// generation-tagged slot pool indexed by a 4-ary min-heap of
-// (time, seq, slot, generation).  Scheduling takes a pooled slot and one
-// heap push; cancel() bumps the slot's generation in O(1) and leaves a
-// stale heap entry behind, which dispatch skips lazily and a compaction
-// pass reclaims whenever stale entries outnumber live ones.  Callbacks
-// are EventAction tagged unions, so the coroutine-resume paths
-// (resume_soon / delay / mailbox wake-ups) never touch the heap
-// allocator.
+// Internals (see src/des/README.md, "The calendar"): events live in a
+// generation-tagged slot pool.  The calendar that orders them by a
+// 128-bit (time, seq) key has three parts, each of which yields its
+// entries in key order on its own:
+//   * the immediate lane: a FIFO of events scheduled exactly at now();
+//   * the timing wheel: one FIFO per integral cycle for events at an
+//     integral time less than kWheelSpan cycles ahead (the common case of
+//     t_switch / t_local / geometric-gap / L/2 delays);
+//   * a 4-ary min-heap for everything else: non-integral or far times,
+//     and every keyed schedule_static_at_seq event (its replayed seq
+//     would break a wheel bucket's FIFO == seq order).
+// pop_next takes the smallest key among the three fronts, so the merged
+// order is exactly the heap-only order.  cancel() bumps the slot's
+// generation in O(1) and leaves a stale entry behind, which dispatch
+// skips lazily and a compaction pass reclaims whenever stale entries
+// outnumber live ones.  Callbacks are EventAction tagged unions, so the
+// coroutine-resume paths (resume_soon / delay / mailbox wake-ups) never
+// touch the heap allocator.
 #pragma once
 
+#include <array>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -56,6 +66,15 @@ class Process;
 using EventId = std::uint64_t;
 /// Sentinel returned when no cancellable handle is needed.
 inline constexpr EventId kInvalidEvent = 0;
+
+/// Intrusive live-registry hook embedded in every spawned process's
+/// promise: the kernel's live list holds hook pointers and each hook
+/// remembers its own list position, so register/unregister are O(1)
+/// swap-and-pop with no address-to-position map.
+struct ProcessHook {
+  void* frame = nullptr;     // coroutine frame address, for teardown
+  std::size_t live_pos = 0;  // index in the live list while registered
+};
 
 class Simulation {
  public:
@@ -103,11 +122,11 @@ class Simulation {
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
   /// Number of live (schedulable, not cancelled) events currently pending.
   [[nodiscard]] std::size_t events_pending() const { return live_events_; }
-  /// Calendar entries (heap + immediate lane), including stale ones
-  /// awaiting lazy removal.  Bounded at < 2x events_pending() +
+  /// Calendar entries (immediate lane + wheel + heap), including stale
+  /// ones awaiting lazy removal.  Bounded at < 2x events_pending() +
   /// compaction floor (leak diagnostic).
   [[nodiscard]] std::size_t calendar_entries() const {
-    return heap_.size() + (now_queue_.size() - now_head_);
+    return heap_.size() + wheel_size_ + (now_queue_.size() - now_head_);
   }
   /// Stale (cancelled) calendar entries not yet compacted away.
   [[nodiscard]] std::size_t stale_calendar_entries() const { return stale_; }
@@ -155,7 +174,8 @@ class Simulation {
   //
   // When enabled, every dispatch folds its (time, seq, action-kind) tuple
   // into an FNV-1a hash chain, and O(1)-amortized invariant sweeps cover
-  // the 4-ary heap order, the slot-pool generations/free list, and any
+  // the calendar order (heap order, wheel bucket placement and FIFO
+  // order), the slot-pool generations/free list, and any
   // component self-checks keyed off audit_enabled() (the packet network
   // audits its credit ledgers).  When off, the cost is one predicted
   // branch per dispatch — the tracing_enabled() pattern, held to the
@@ -175,10 +195,11 @@ class Simulation {
   /// violated invariant).  Audit mode runs this automatically on an
   /// O(1)-amortized cadence; tests call it directly.
   void audit_check_now() const;
-  /// Test-only: deliberately breaks the heap-order invariant (swaps the
-  /// root's key with the last entry's) so tests can prove the audit
-  /// sweep catches corruption.  Requires >= 2 distinct heap entries.
-  void corrupt_heap_for_test();
+  /// Test-only: deliberately breaks the calendar-order invariant so tests
+  /// can prove the audit sweep catches corruption.  Swaps the keys of the
+  /// first and last wheel entries when the wheel holds >= 2, else of the
+  /// heap's root and last entry (which then needs >= 2 heap entries).
+  void corrupt_calendar_for_test();
 
   // --- observability (src/obs/, docs/OBSERVABILITY.md) -------------------
   //
@@ -266,9 +287,10 @@ class Simulation {
   void resume_soon(std::coroutine_handle<> h) {
     (void)schedule_action(now_, EventAction::resume(h));
   }
-  /// Registers/unregisters live process frames for cleanup.
-  void register_process(std::coroutine_handle<> h);
-  void unregister_process(std::coroutine_handle<> h);
+  /// Registers/unregisters live process frames for cleanup; `hook.frame`
+  /// must hold the frame address.
+  void register_process(ProcessHook& hook);
+  void unregister_process(ProcessHook& hook);
   /// Records an exception escaping a process body; rethrown by run()/step().
   void set_pending_exception(std::exception_ptr ep);
 
@@ -331,6 +353,7 @@ class Simulation {
                               EventAction action);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
+  void advance_to(SimTime t);
   bool pop_next(HeapEntry& out, bool bounded, SimTime horizon);
   void dispatch(const HeapEntry& entry);
   void dispatch_profiled(EventAction& action);
@@ -343,6 +366,42 @@ class Simulation {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void compact_calendar();
+  void audit_wheel() const;
+
+  // Timing wheel: one FIFO per integral cycle in [floor(now),
+  // floor(now) + kWheelSpan).  An event goes here iff it is non-keyed,
+  // strictly in the future, integral, and below wheel_limit_; so the
+  // wheel's entries occupy fewer than kWheelSpan distinct times and each
+  // bucket holds a single time.  Non-keyed seqs are handed out in push
+  // order, so every bucket's FIFO order is its seq order.
+  static constexpr std::uint64_t kWheelSpan = 1024;
+  static constexpr std::uint64_t kWheelMask = kWheelSpan - 1;
+  static constexpr std::size_t kWheelWords = kWheelSpan / 64;
+  static_assert(kWheelWords <= 64, "one summary word indexes the bitmap");
+  /// Past this time the wheel window stops advancing (ticks near 2^53
+  /// would no longer convert exactly); events beyond the frozen window
+  /// then take the heap, which is always correct.
+  static constexpr SimTime kWheelTimeCap = 0x1p52;
+
+  /// Wheel entry: pooled, chained into its bucket's FIFO (or the node
+  /// free list) through `next`.
+  struct WheelNode {
+    unsigned __int128 key;
+    std::uint32_t slot;
+    std::uint32_t gen;
+    std::uint32_t next;
+  };
+  struct WheelBucket {
+    std::uint32_t head;  // valid only while the bucket's bit is set
+    std::uint32_t tail;
+  };
+
+  void wheel_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
+                  std::uint32_t gen);
+  [[nodiscard]] std::size_t wheel_front_bucket() const;
+  void wheel_pop_front(std::size_t bucket);
+  void wheel_clear_bit(std::size_t bucket);
+  void wheel_free_node(std::uint32_t node);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
@@ -351,6 +410,19 @@ class Simulation {
   std::size_t live_events_ = 0;
   std::size_t stale_ = 0;
   std::vector<HeapEntry> heap_;
+  // Timing wheel state.  Buckets are allocated on first use and never
+  // initialized: the bitmap says which heads/tails are meaningful.
+  std::size_t wheel_size_ = 0;  // entries, including stale ones
+  // floor(now_): bucket scans start here.  Wheel ticks stay below 2^53,
+  // so they use signed conversions, one instruction each on x86-64
+  // (unsigned ones branch).
+  std::int64_t now_tick_ = 0;
+  SimTime wheel_limit_ = static_cast<SimTime>(kWheelSpan);
+  std::uint64_t wheel_summary_ = 0;  // bit w set iff wheel_bits_[w] != 0
+  std::array<std::uint64_t, kWheelWords> wheel_bits_{};
+  std::unique_ptr<WheelBucket[]> wheel_buckets_;
+  std::vector<WheelNode> wheel_nodes_;
+  std::uint32_t wheel_free_ = kNoSlot;
   // Immediate lane: [now_head_, now_queue_.size()) are pending; the
   // consumed prefix is recycled whenever the lane drains.
   std::vector<NowEntry> now_queue_;
@@ -359,10 +431,8 @@ class Simulation {
   std::uint32_t free_head_ = kNoSlot;
   // Live process frames in deterministic (insertion/swap) order: the
   // destructor tears frames down in this order, so shutdown side effects
-  // cannot depend on pointer values.  The index map is lookup-only.
-  std::vector<void*> live_order_;
-  // lint:allow(unordered-container): lookup-only address->position index
-  std::unordered_map<void*, std::size_t> live_index_;
+  // cannot depend on pointer values.  Each hook stores its own position.
+  std::vector<ProcessHook*> live_order_;
   std::exception_ptr pending_exception_;
   Tracer* tracer_ = nullptr;
   // Cached interned ids for the kernel's own trace labels (set by
@@ -412,6 +482,35 @@ inline void Simulation::heap_push(const HeapEntry& entry) {
   sift_up(heap_.size() - 1);
 }
 
+inline void Simulation::wheel_push(SimTime at, std::uint64_t seq,
+                                    std::uint32_t slot, std::uint32_t gen) {
+  if (!wheel_buckets_) {
+    wheel_buckets_ = std::make_unique_for_overwrite<WheelBucket[]>(kWheelSpan);
+  }
+  std::uint32_t node = wheel_free_;
+  if (node != kNoSlot) {
+    wheel_free_ = wheel_nodes_[node].next;
+    wheel_nodes_[node] = WheelNode{heap_key(at, seq), slot, gen, kNoSlot};
+  } else {
+    ensure(wheel_nodes_.size() < kNoSlot, "Simulation: wheel pool exhausted");
+    node = static_cast<std::uint32_t>(wheel_nodes_.size());
+    wheel_nodes_.push_back(WheelNode{heap_key(at, seq), slot, gen, kNoSlot});
+  }
+  const auto b = static_cast<std::size_t>(static_cast<std::int64_t>(at)) & kWheelMask;
+  WheelBucket& bucket = wheel_buckets_[b];
+  std::uint64_t& word = wheel_bits_[b / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+  if ((word & bit) != 0) {
+    wheel_nodes_[bucket.tail].next = node;
+  } else {
+    bucket.head = node;
+    word |= bit;
+    wheel_summary_ |= std::uint64_t{1} << (b / 64);
+  }
+  bucket.tail = node;
+  ++wheel_size_;
+}
+
 inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
   ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
   const std::uint32_t index = acquire_slot();
@@ -422,6 +521,12 @@ inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
     // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
     // spawns) skip the heap entirely; FIFO order == seq order.
     now_queue_.push_back(NowEntry{seq, index, slot.generation});
+  } else if (at < wheel_limit_ &&
+             static_cast<SimTime>(static_cast<std::int64_t>(at)) == at) {
+    // Near integral time (0 <= now_ < at < wheel_limit_ <= 2^52 +
+    // kWheelSpan, so the cast is in range): the wheel's per-cycle FIFO,
+    // no sift.
+    wheel_push(at, seq, index, slot.generation);
   } else {
     heap_push(HeapEntry{heap_key(at, seq), index, slot.generation});
   }
@@ -436,8 +541,8 @@ inline des::EventId Simulation::schedule_action_seq(SimTime at,
                                                     std::uint64_t seq,
                                                     EventAction action) {
   // A keyed event is always strictly in the future (callers ensure it),
-  // so it goes to the heap: the immediate lane's FIFO assumes seq order
-  // matches push order, which a replayed key would violate.
+  // so it goes to the heap: the lane's and the wheel buckets' FIFOs
+  // assume seq order matches push order, which a replayed key violates.
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);

@@ -85,6 +85,11 @@ void ProfileHub::reset() {
 }
 
 void ProfileHub::write_table(std::ostream& os) const {
+  // The table sets fixed/precision/adjustment per column; restore the
+  // caller's formatting afterwards so later output (e.g. the CLI's
+  // "# generated in" line on the same stream) is unaffected.
+  const std::ios_base::fmtflags saved_flags = os.flags();
+  const std::streamsize saved_precision = os.precision();
   const KernelProfiler prof = snapshot();
   const std::uint64_t total = prof.total_dispatches();
   double total_seconds = 0.0;
@@ -106,8 +111,9 @@ void ProfileHub::write_table(std::ostream& os) const {
        << std::setw(14) << s.dispatches << std::setw(10) << s.sampled << std::setw(12)
        << std::setprecision(4) << std::fixed << est << std::setw(8)
        << std::setprecision(1) << share << "%\n";
-    os.unsetf(std::ios::fixed);
   }
+  os.flags(saved_flags);
+  os.precision(saved_precision);
 }
 
 }  // namespace pimsim::obs

@@ -213,6 +213,23 @@ TEST(SimulationSemantics, CancelledFarFutureEventsDoNotAccumulate) {
   EXPECT_EQ(sim.events_dispatched(), 0u);
 }
 
+TEST(SimulationSemantics, CancelledWheelEventsDoNotAccumulate) {
+  // The same bound for near integral timeouts, which live in the timing
+  // wheel rather than the heap: compaction must sweep the wheel too.
+  des::Simulation sim;
+  std::size_t max_entries = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const des::EventId id =
+        sim.schedule_at(1.0 + static_cast<double>(i % 1000), [] {});
+    ASSERT_TRUE(sim.cancel(id));
+    max_entries = std::max(max_entries, sim.calendar_entries());
+  }
+  EXPECT_LE(max_entries, 128u);
+  sim.run();
+  EXPECT_EQ(sim.events_dispatched(), 0u);
+  EXPECT_EQ(sim.calendar_entries(), 0u);
+}
+
 TEST(SimulationSemantics, CancelHeavyMixedLoadKeepsCalendarBounded) {
   des::Simulation sim;
   std::uint64_t fired = 0;
@@ -294,9 +311,23 @@ TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruption) {
     sim.schedule_at(1.0 + i, [] {});
   }
   sim.audit_check_now();  // healthy kernel: no throw
-  sim.corrupt_heap_for_test();
+  sim.corrupt_calendar_for_test();
   EXPECT_THROW(sim.audit_check_now(), LogicError);
   // The amortized sweep inside dispatch catches it too.
+  EXPECT_THROW(sim.run(), LogicError);
+}
+
+// Integral near-future times land in the timing wheel (the test above);
+// non-integral ones take the heap, whose order the sweep checks too.
+TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruptionOffTheWheel) {
+  des::Simulation sim;
+  sim.set_audit(true);
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule_at(1.5 + i, [] {});
+  }
+  sim.audit_check_now();
+  sim.corrupt_calendar_for_test();
+  EXPECT_THROW(sim.audit_check_now(), LogicError);
   EXPECT_THROW(sim.run(), LogicError);
 }
 

@@ -360,5 +360,28 @@ TEST(Profiler, MergeAddsCountsAndTableRenders) {
   EXPECT_STREQ(KernelProfiler::kind_name(2), "small");
 }
 
+TEST(Profiler, WriteTableLeavesStreamFormattingUnchanged) {
+  // `pimsim run ... profile=1` prints the table and then the elapsed time
+  // on the same stream; the table's fixed/precision settings must not
+  // leak into that line.
+  ProfileHub& hub = ProfileHub::global();
+  hub.reset();
+  KernelProfiler prof;
+  prof.count(1);
+  prof.count(2);
+  hub.absorb(prof);
+  std::ostringstream os;
+  os.precision(9);
+  const std::ios_base::fmtflags flags = os.flags();
+  hub.write_table(os);
+  hub.reset();
+  EXPECT_NE(os.str().find("resume"), std::string::npos);
+  EXPECT_EQ(os.flags(), flags);
+  EXPECT_EQ(os.precision(), 9);
+  os.str("");
+  os << 0.000663749;
+  EXPECT_EQ(os.str(), "0.000663749");
+}
+
 }  // namespace
 }  // namespace pimsim::obs

@@ -124,6 +124,34 @@ TEST(Process, SimulationDestructionReclaimsLiveProcesses) {
   EXPECT_DOUBLE_EQ(finished, -1.0);
 }
 
+struct LogOnDestroy {
+  std::vector<int>* log;
+  int id;
+  ~LogOnDestroy() { log->push_back(id); }
+};
+
+Process parked(Simulation& sim, Cycles t, std::vector<int>* log, int id) {
+  const LogOnDestroy guard{log, id};
+  co_await delay(sim, t);
+}
+
+TEST(Process, TeardownOrderFollowsTheSwapAndPopRegistry) {
+  // Frames left at destruction are torn down in live-registry order: a
+  // finished process's slot is taken by the last one (swap-and-pop), so
+  // after 0 finishes the order is 3, 1, 2 -- fixed by the sequence of
+  // spawns and completions, never by frame addresses.
+  std::vector<int> log;
+  {
+    Simulation sim;
+    for (int id = 0; id < 4; ++id) {
+      sim.spawn(parked(sim, id == 0 ? 1.0 : 1000.0, &log, id));
+    }
+    sim.run_until(10.0);
+    EXPECT_EQ(sim.live_processes(), 3u);
+  }
+  EXPECT_EQ(log, (std::vector<int>{0, 3, 1, 2}));
+}
+
 Process wait_on(Simulation& sim, Trigger& trigger, double* woke_at) {
   co_await trigger.wait();
   *woke_at = sim.now();

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>  // getpid: per-process scratch dir
+
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -298,7 +300,12 @@ class ReplicatedShardEndToEnd : public ::testing::Test {
                     "out=" + (root_ / dir).string()});
   }
 
-  const fs::path root_{"test_replication_tmp"};
+  void TearDown() override { fs::remove_all(root_); }
+
+  // Unique per process, outside the source and build trees, so parallel
+  // or repeated runs never share (or leave behind) scratch files.
+  const fs::path root_ = fs::temp_directory_path() /
+                         ("pimsim_test_replication_" + std::to_string(::getpid()));
   std::string unsharded_;
 };
 

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>  // getpid: per-process scratch dir
+
 #include "common/error.hpp"
 #include "core/chunk.hpp"
 #include "core/cli.hpp"
@@ -106,8 +108,8 @@ std::string slurp(const fs::path& path) {
   return os.str();
 }
 
-/// Fixture owning a scratch dir (fixed name, ctest runs in the build
-/// dir) with a small 4-point memory_contention grid.
+/// Fixture owning a per-process scratch dir under the system temp dir
+/// with a small 4-point memory_contention grid.
 class ShardEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -142,7 +144,12 @@ class ShardEndToEnd : public ::testing::Test {
     return run_cli(args);
   }
 
-  const fs::path root_{"test_shard_tmp"};
+  void TearDown() override { fs::remove_all(root_); }
+
+  // Unique per process, outside the source and build trees, so parallel
+  // or repeated runs never share (or leave behind) scratch files.
+  const fs::path root_ = fs::temp_directory_path() /
+                         ("pimsim_test_shard_" + std::to_string(::getpid()));
   std::string unsharded_;
 };
 
