@@ -1,7 +1,7 @@
 // Event-kernel microbenchmark: dispatch throughput in events per second.
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
-// always build it.  Six workloads stress the kernel paths the rest of
+// always build it.  Seven workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
 //   dispatch    N one-shot callbacks pre-loaded into the calendar
@@ -12,6 +12,9 @@
 //   timerwheel  W self-rescheduling timers with staggered periods
 //   cancelheavy timeout pattern: every op arms a far-future timeout and
 //               cancels it, exercising O(1) cancel + lazy compaction
+//   spawnchurn  short-lived processes, spawned and joined in batches,
+//               each taking a Resource and sending one Mailbox message:
+//               the per-process fixed cost (frame, join, wait queues)
 //
 // Each workload runs `reps` times; every repetition is recorded in a
 // BENCH_engine.json trajectory (best repetition is the headline number).
@@ -21,6 +24,7 @@
 //                     [floors=bench/baselines.json]  (perf guard)
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +34,7 @@
 #include "common/table.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
+#include "des/resource.hpp"
 #include "des/simulation.hpp"
 
 namespace {
@@ -204,6 +209,46 @@ Sample run_cancelheavy(std::uint64_t events) {
   return s;
 }
 
+// --- spawnchurn: short-lived processes ----------------------------------
+
+des::Process churn_child(des::Simulation& sim, des::Resource& port,
+                         des::Mailbox<int>& box, int id) {
+  co_await port.acquire();
+  co_await des::delay(sim, 1.0);
+  port.release();
+  box.send(id);
+}
+
+des::Process churn_parent(des::Simulation& sim, des::Resource& port,
+                          des::Mailbox<int>& box, std::uint64_t batches,
+                          std::uint64_t* children_done) {
+  constexpr int kBatch = 4;  // two of each batch queue for the 2-unit port
+  for (std::uint64_t b = 0; b < batches; ++b) {
+    std::optional<des::Process::JoinAwaitable> joins[kBatch];
+    for (int i = 0; i < kBatch; ++i) {
+      des::Process child = churn_child(sim, port, box, i);
+      joins[i].emplace(child.join());
+      sim.spawn(std::move(child));
+    }
+    for (int i = 0; i < kBatch; ++i) (void)co_await box.receive();
+    for (auto& join : joins) co_await std::move(*join);
+    *children_done += kBatch;
+  }
+}
+
+Sample run_spawnchurn(std::uint64_t events) {
+  const std::uint64_t batches = events / 16;  // ~16 kernel events per batch
+  std::uint64_t children_done = 0;
+  des::Simulation sim;
+  des::Resource port(sim, 2, "port");
+  des::Mailbox<int> box(sim, "box");
+  sim.spawn(churn_parent(sim, port, box, batches, &children_done));
+  const Sample s = timed_run(sim);
+  ensure(children_done == 4 * batches && sim.live_processes() == 0,
+         "bench_engine: spawnchurn lost a process");
+  return s;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -222,7 +267,7 @@ int main(int argc, char** argv) {
     std::uint64_t pingpong_events_once = 0;
     for (const char* name :
          {"dispatch", "delayloop", "fracdelay", "pingpong", "timerwheel",
-          "cancelheavy"}) {
+          "cancelheavy", "spawnchurn"}) {
       WorkloadResult r;
       r.name = name;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -244,8 +289,10 @@ int main(int argc, char** argv) {
                  "bench_engine: non-deterministic ping-pong event count");
         } else if (r.name == "timerwheel") {
           s = run_timerwheel(events);
-        } else {
+        } else if (r.name == "cancelheavy") {
           s = run_cancelheavy(events);
+        } else {
+          s = run_spawnchurn(events);
         }
         r.samples.push_back(s);
       }

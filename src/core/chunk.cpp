@@ -1,6 +1,8 @@
 #include "core/chunk.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -68,8 +70,9 @@ int hex_nibble(char c, const std::string& file) {
 }
 
 std::string hex_decode(const std::string& hex, const std::string& file) {
-  require(hex.size() % 2 == 0, "pimsim merge: '" + file +
-                                   "': odd-length metrics snapshot hex");
+  require(hex.size() % 2 == 0, [&] {
+    return "pimsim merge: '" + file + "': odd-length metrics snapshot hex";
+  });
   std::string out;
   out.reserve(hex.size() / 2);
   for (std::size_t i = 0; i < hex.size(); i += 2) {
@@ -112,17 +115,19 @@ std::string find_string(const std::string& text, const std::string& key,
   const std::string token = "\"" + key + "\"";
   const std::size_t at = text.find(token);
   require(at != std::string::npos,
-          "pimsim: '" + file + "': missing field \"" + key + "\"");
+          [&] { return "pimsim: '" + file + "': missing field \"" + key + "\""; });
   std::size_t open = text.find('"', at + token.size() + 1);
-  require(open != std::string::npos,
-          "pimsim: '" + file + "': malformed field \"" + key + "\"");
+  require(open != std::string::npos, [&] {
+    return "pimsim: '" + file + "': malformed field \"" + key + "\"";
+  });
   std::size_t close = open + 1;
   while (close < text.size() &&
          (text[close] != '"' || text[close - 1] == '\\')) {
     ++close;
   }
-  require(close < text.size(),
-          "pimsim: '" + file + "': unterminated string for \"" + key + "\"");
+  require(close < text.size(), [&] {
+    return "pimsim: '" + file + "': unterminated string for \"" + key + "\"";
+  });
   return json_unescape(text.substr(open + 1, close - open - 1));
 }
 
@@ -132,22 +137,29 @@ double find_number(const std::string& text, const std::string& key,
   const std::string token = "\"" + key + "\"";
   std::size_t at = text.find(token);
   require(at != std::string::npos,
-          "pimsim: '" + file + "': missing field \"" + key + "\"");
+          [&] { return "pimsim: '" + file + "': missing field \"" + key + "\""; });
   at = text.find(':', at + token.size());
-  require(at != std::string::npos,
-          "pimsim: '" + file + "': malformed field \"" + key + "\"");
-  try {
-    return std::stod(text.substr(at + 1));
-  } catch (const std::exception&) {
+  require(at != std::string::npos, [&] {
+    return "pimsim: '" + file + "': malformed field \"" + key + "\"";
+  });
+  // Parsed in place (std::stod would need a copy of the rest of the
+  // file); same syntax and the same failures: no digits, or out of range.
+  const char* begin = text.c_str() + at + 1;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(begin, &end);
+  if (end == begin || errno == ERANGE) {
     throw InvalidArgument("pimsim: '" + file + "': non-numeric field \"" +
                           key + "\"");
   }
+  return v;
 }
 
 std::size_t find_size(const std::string& text, const std::string& key,
                       const std::string& file) {
   const double v = find_number(text, key, file);
-  require(v >= 0.0, "pimsim: '" + file + "': negative field \"" + key + "\"");
+  require(v >= 0.0,
+          [&] { return "pimsim: '" + file + "': negative field \"" + key + "\""; });
   return static_cast<std::size_t>(v);
 }
 

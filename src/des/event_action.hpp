@@ -8,14 +8,14 @@
 //    wake-ups all reduce to this: 8 bytes, no construction cost.
 //  * kSmall  — an arbitrary callable move-constructed into a
 //    kInlineSize-byte (32) inline buffer (covers every lambda the
-//    library schedules, including the parcel transport thunk that owns
-//    a wire-format byte vector).
+//    library schedules).
 //  * kBoxed  — the escape hatch for oversized or throwing-move callables,
 //    heap-allocated as before.
 //  * kStatic — a raw (function pointer, context, two u64 payloads) record
 //    for components that dispatch millions of homogeneous events, e.g.
-//    the packet network's link-advance/arrive events: no ops table, no
-//    relocation, the payload is invoked directly from the inline buffer.
+//    the packet network's link-advance/arrive events, memory-access and
+//    interconnect-delivery completions: no ops table, no relocation, the
+//    payload is invoked directly from the inline buffer.
 //
 // Invoking consumes the action: the callable is relocated to the caller's
 // stack before it runs, so a callback may freely schedule new events even
@@ -37,8 +37,7 @@ class EventAction {
  public:
   /// Callables up to this size (and max_align_t alignment) are stored
   /// inline; anything larger falls back to a heap box.  32 bytes covers
-  /// a std::function and the parcel transport thunk (pointer + byte
-  /// vector) while keeping the whole EventAction at 48 bytes.
+  /// a std::function while keeping the whole EventAction at 48 bytes.
   static constexpr std::size_t kInlineSize = 32;
 
   EventAction() noexcept {}

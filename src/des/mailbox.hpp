@@ -4,15 +4,20 @@
 // input queue is a Mailbox<Parcel>.  send() never blocks; receive() is an
 // awaitable that completes when a message is available.
 //
+// Waiting receivers queue in an intrusive FIFO threaded through their
+// ReceiveAwaitables (each lives in its suspended frame); messages nobody
+// is waiting for queue in a buffer that grows only when such a message
+// arrives, and keeps its capacity once drained.
+//
 // Invariant: the item queue and the waiter queue are never simultaneously
 // non-empty (sends hand messages straight to the oldest waiter).
 #pragma once
 
 #include <coroutine>
-#include <deque>
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "des/simulation.hpp"
@@ -33,13 +38,15 @@ class Mailbox {
     explicit ReceiveAwaitable(Mailbox& box) : box_(box) {}
 
     bool await_ready() {
-      if (box_.items_.empty()) return false;
-      slot_ = std::move(box_.items_.front());
-      box_.items_.pop_front();
+      if (box_.pending() == 0) return false;
+      slot_ = box_.pop_item();
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) {
-      box_.waiters_.push_back(Waiter{h, &slot_});
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle_ = h;
+      (box_.tail_ != nullptr ? box_.tail_->next_ : box_.head_) = this;
+      box_.tail_ = this;
+      ++box_.waiting_;
     }
     T await_resume() {
       // Message built only on failure: receive is a hot path.
@@ -57,6 +64,9 @@ class Mailbox {
     friend class Mailbox;
     Mailbox& box_;
     std::optional<T> slot_;
+    // Queue node, meaningful only while suspended.
+    ReceiveAwaitable* next_ = nullptr;
+    std::coroutine_handle<> handle_;
   };
 
   /// Deposits a message; wakes the oldest waiting receiver, if any.
@@ -67,11 +77,13 @@ class Mailbox {
     // tracing_enabled() first: trace() itself is an inline branch, but
     // the lazy label interning is not free on a path this hot.
     if (sim_.tracing_enabled()) sim_.trace(TraceKind::kMailboxSend, trace_label());
-    if (!waiters_.empty()) {
-      Waiter w = waiters_.front();
-      waiters_.pop_front();
-      *w.slot = std::move(value);
-      sim_.resume_soon(w.handle);
+    if (head_ != nullptr) {
+      ReceiveAwaitable* w = head_;
+      head_ = w->next_;
+      if (head_ == nullptr) tail_ = nullptr;
+      --waiting_;
+      w->slot_ = std::move(value);
+      sim_.resume_soon(w->handle_);
     } else {
       items_.push_back(std::move(value));
     }
@@ -82,21 +94,30 @@ class Mailbox {
 
   /// Non-blocking receive.
   [[nodiscard]] std::optional<T> try_receive() {
-    if (items_.empty()) return std::nullopt;
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
+    if (pending() == 0) return std::nullopt;
+    return pop_item();
   }
 
-  [[nodiscard]] std::size_t pending() const { return items_.size(); }
-  [[nodiscard]] std::size_t waiting_receivers() const { return waiters_.size(); }
+  [[nodiscard]] std::size_t pending() const { return items_.size() - item_head_; }
+  [[nodiscard]] std::size_t waiting_receivers() const { return waiting_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::optional<T>* slot;
-  };
+  /// Pops the oldest queued message.  The consumed prefix is recycled
+  /// when the buffer drains, or compacted away once it is the larger
+  /// half, so a queue that never drains stays O(pending) in size.
+  T pop_item() {
+    T v = std::move(items_[item_head_]);
+    if (++item_head_ == items_.size()) {
+      items_.clear();
+      item_head_ = 0;
+    } else if (item_head_ >= 64 && 2 * item_head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(item_head_));
+      item_head_ = 0;
+    }
+    return v;
+  }
 
   /// Interns the mailbox name on first traced use (only reached behind a
   /// tracing_enabled() check, so the id is valid for the active tracer).
@@ -108,8 +129,11 @@ class Mailbox {
   Simulation& sim_;
   std::string name_;
   mutable LabelId trace_label_ = kLabelUninterned;
-  std::deque<T> items_;
-  std::deque<Waiter> waiters_;
+  std::vector<T> items_;  // queued messages: [item_head_, size())
+  std::size_t item_head_ = 0;
+  ReceiveAwaitable* head_ = nullptr;  // oldest waiting receiver
+  ReceiveAwaitable* tail_ = nullptr;
+  std::size_t waiting_ = 0;
 };
 
 }  // namespace pimsim::des

@@ -18,44 +18,84 @@
 //    body finishes or when the Simulation is destroyed;
 //  * exceptions escaping a process body are captured and rethrown from
 //    Simulation::run()/run_until()/step().
+//
+// Allocation (see src/des/README.md, "Process lifecycle and wait
+// queues"): frames come from FramePool's per-thread size-class free
+// lists, a process carries no shared state unless someone join()s it,
+// and every wait queue (joiners, Trigger, Resource, Mailbox) is an
+// intrusive list threaded through the awaitables parked in the waiting
+// frames, so a warm spawn -> wait -> finish cycle never calls malloc.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <memory>
 #include <utility>
-#include <vector>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
 
+/// Recycling allocator for coroutine frames (and join states).  Spawned
+/// frames escape their caller, so the compiler can never elide their
+/// allocation; instead each thread keeps one LIFO free list per 16-byte
+/// size class up to kMaxBlock.  Retention is bounded: a thread's lists
+/// hold at most kMaxRetainedBytes, and blocks freed beyond that (the
+/// teardown of a large simulation) go straight back to operator delete,
+/// so the pool never pins more than that much memory per thread.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 16;
+  static constexpr std::size_t kMaxBlock = 1024;  ///< larger: operator new
+  static constexpr std::size_t kMaxRetainedBytes = std::size_t{512} << 10;
+
+  [[nodiscard]] static void* allocate(std::size_t size);
+  static void deallocate(void* block, std::size_t size) noexcept;
+
+  /// Bytes the calling thread's free lists currently hold (diagnostic).
+  [[nodiscard]] static std::size_t retained_bytes() noexcept;
+};
+
 /// Handle to a coroutine-based model process (move-only).
 class Process {
  public:
-  /// Completion state shared between the frame, joiners, and this handle.
-  struct State {
-    Simulation* sim = nullptr;
-    bool spawned = false;
-    bool done = false;
-    std::vector<std::coroutine_handle<>> joiners;
-  };
-
   struct promise_type;
   using handle_type = std::coroutine_handle<promise_type>;
+  class JoinAwaitable;
+
+  /// Completion record of a joined process.  Created (from FramePool) by
+  /// the first join(); shared by the frame and every JoinAwaitable through
+  /// an intrusive count, so it outlives the frame for late joiners.
+  struct JoinState {
+    JoinAwaitable* head = nullptr;  ///< suspended joiners, FIFO
+    JoinAwaitable* tail = nullptr;
+    std::uint32_t refs = 0;
+    bool done = false;
+
+    void retain() noexcept { ++refs; }
+    void release() noexcept {
+      if (--refs == 0) {
+        this->~JoinState();
+        FramePool::deallocate(this, sizeof(JoinState));
+      }
+    }
+    /// Marks completion and wakes the joiners through the calendar, in
+    /// the order they suspended.
+    void complete(Simulation& sim) noexcept;
+  };
 
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }
     void await_suspend(handle_type h) noexcept {
       // The frame is suspended at its final point: mark completion, wake
       // joiners through the calendar, then free the frame.
-      auto state = h.promise().state;
-      state->done = true;
-      if (state->sim != nullptr) {
-        for (auto j : state->joiners) state->sim->resume_soon(j);
-        state->joiners.clear();
-        state->sim->unregister_process(h.promise().hook);
+      promise_type& p = h.promise();
+      if (p.sim != nullptr) {
+        if (p.join != nullptr) p.join->complete(*p.sim);
+        p.sim->unregister_process(p.hook);
       }
       h.destroy();
     }
@@ -63,47 +103,82 @@ class Process {
   };
 
   struct promise_type {
-    std::shared_ptr<State> state = std::make_shared<State>();
-    ProcessHook hook;  // the kernel's live-registry entry
+    Simulation* sim = nullptr;    // set by Simulation::spawn
+    JoinState* join = nullptr;    // created by the first join()
+    ProcessHook hook;             // the kernel's live-registry entry
+
+    promise_type() = default;
+    promise_type(const promise_type&) = delete;
+    promise_type& operator=(const promise_type&) = delete;
+    ~promise_type() {
+      if (join != nullptr) join->release();
+    }
+
+    static void* operator new(std::size_t size) {
+      return FramePool::allocate(size);
+    }
+    static void operator delete(void* frame, std::size_t size) noexcept {
+      FramePool::deallocate(frame, size);
+    }
 
     Process get_return_object() {
-      return Process(handle_type::from_promise(*this), state);
+      return Process(handle_type::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     FinalAwaiter final_suspend() noexcept { return {}; }
     void return_void() noexcept {}
     void unhandled_exception() {
-      if (state->sim != nullptr) {
-        state->sim->set_pending_exception(std::current_exception());
+      if (sim != nullptr) {
+        sim->set_pending_exception(std::current_exception());
       } else {
         std::rethrow_exception(std::current_exception());
       }
     }
   };
 
-  /// Awaitable returned by join(): resumes the awaiter when this process ends.
+  /// Awaitable returned by join(): resumes the awaiter when this process
+  /// ends (immediately if it already has).  While suspended it is the
+  /// joiner's node in the process's intrusive joiner list.
   class [[nodiscard]] JoinAwaitable {
    public:
-    explicit JoinAwaitable(std::shared_ptr<State> state)
-        : state_(std::move(state)) {}
+    explicit JoinAwaitable(JoinState& state) noexcept : state_(&state) {
+      state_->retain();
+    }
+    JoinAwaitable(JoinAwaitable&& other) noexcept
+        : state_(std::exchange(other.state_, nullptr)) {}
+    JoinAwaitable& operator=(JoinAwaitable&&) = delete;
+    ~JoinAwaitable() {
+      if (state_ == nullptr) return;
+      if (linked_) unlink();
+      state_->release();
+    }
+
     bool await_ready() const noexcept { return state_->done; }
-    void await_suspend(std::coroutine_handle<> h) {
-      state_->joiners.push_back(h);
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      waiter_ = h;
+      linked_ = true;
+      (state_->tail != nullptr ? state_->tail->next_ : state_->head) = this;
+      state_->tail = this;
     }
     void await_resume() const noexcept {}
 
    private:
-    std::shared_ptr<State> state_;
+    friend struct JoinState;
+    /// Only a frame torn down while still waiting gets here.
+    void unlink() noexcept;
+
+    JoinState* state_;
+    JoinAwaitable* next_ = nullptr;
+    std::coroutine_handle<> waiter_;
+    bool linked_ = false;
   };
 
   Process(Process&& other) noexcept
-      : handle_(std::exchange(other.handle_, nullptr)),
-        state_(std::move(other.state_)) {}
+      : handle_(std::exchange(other.handle_, nullptr)) {}
   Process& operator=(Process&& other) noexcept {
     if (this != &other) {
       destroy_if_unspawned();
       handle_ = std::exchange(other.handle_, nullptr);
-      state_ = std::move(other.state_);
     }
     return *this;
   }
@@ -111,34 +186,67 @@ class Process {
   Process& operator=(const Process&) = delete;
   ~Process() { destroy_if_unspawned(); }
 
-  /// True once the body has run to completion.
-  [[nodiscard]] bool done() const { return state_ && state_->done; }
+  /// True once the body has run to completion.  A handle only ever holds
+  /// an unspawned frame (spawn() takes it over), whose body has not run,
+  /// so a spawned process's completion is observed through join().
+  [[nodiscard]] bool done() const { return handle_ && handle_.done(); }
 
-  /// Awaitable that completes when the process body finishes.
-  /// Valid both before and after the process is spawned.
-  [[nodiscard]] JoinAwaitable join() const { return JoinAwaitable(state_); }
+  /// Awaitable that completes when the process body finishes.  Call it
+  /// before spawning (spawn() consumes the handle); the awaitable stays
+  /// valid after the process finished and its frame was recycled.
+  [[nodiscard]] JoinAwaitable join() const {
+    ensure(static_cast<bool>(handle_),
+           "Process::join: the process was already spawned or moved from");
+    promise_type& p = handle_.promise();
+    if (p.join == nullptr) {
+      p.join = ::new (FramePool::allocate(sizeof(JoinState))) JoinState{};
+      p.join->retain();  // the frame's reference
+    }
+    return JoinAwaitable(*p.join);
+  }
 
   /// Used by Simulation::spawn: transfers frame ownership to the kernel.
   handle_type release_for_spawn(Simulation& sim) {
-    state_->sim = &sim;
-    state_->spawned = true;
-    handle_.promise().hook.frame = handle_.address();
-    sim.register_process(handle_.promise().hook);
+    promise_type& p = handle_.promise();
+    p.sim = &sim;
+    p.hook.frame = handle_.address();
+    sim.register_process(p.hook);
     return std::exchange(handle_, nullptr);
   }
 
  private:
-  Process(handle_type h, std::shared_ptr<State> state)
-      : handle_(h), state_(std::move(state)) {}
+  explicit Process(handle_type h) : handle_(h) {}
 
   void destroy_if_unspawned() {
-    if (handle_ && state_ && !state_->spawned) handle_.destroy();
+    if (handle_) handle_.destroy();
     handle_ = nullptr;
   }
 
   handle_type handle_ = nullptr;
-  std::shared_ptr<State> state_;
 };
+
+inline void Process::JoinState::complete(Simulation& sim) noexcept {
+  done = true;
+  JoinAwaitable* j = std::exchange(head, nullptr);
+  tail = nullptr;
+  while (j != nullptr) {
+    JoinAwaitable* next = j->next_;
+    j->linked_ = false;
+    sim.resume_soon(j->waiter_);
+    j = next;
+  }
+}
+
+inline void Process::JoinAwaitable::unlink() noexcept {
+  JoinAwaitable* prev = nullptr;
+  for (JoinAwaitable* j = state_->head; j != nullptr; prev = j, j = j->next_) {
+    if (j != this) continue;
+    (prev != nullptr ? prev->next_ : state_->head) = next_;
+    if (state_->tail == this) state_->tail = prev;
+    break;
+  }
+  linked_ = false;
+}
 
 /// Awaitable that advances the awaiting process by `delay` cycles.
 class [[nodiscard]] DelayAwaitable {
@@ -168,43 +276,62 @@ class [[nodiscard]] DelayAwaitable {
 }
 
 /// Broadcast trigger: processes co_await wait(); fire() wakes all of them.
+/// Waiters queue in an intrusive FIFO threaded through their awaitables.
 class Trigger {
  public:
   explicit Trigger(Simulation& sim) : sim_(sim) {}
+  Trigger(const Trigger&) = delete;
+  Trigger& operator=(const Trigger&) = delete;
 
   class [[nodiscard]] WaitAwaitable {
    public:
     explicit WaitAwaitable(Trigger& trigger) : trigger_(trigger) {}
     bool await_ready() const noexcept { return trigger_.fired_; }
-    void await_suspend(std::coroutine_handle<> h) {
-      trigger_.waiters_.push_back(h);
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle_ = h;
+      Trigger& t = trigger_;
+      (t.tail_ != nullptr ? t.tail_->next_ : t.head_) = this;
+      t.tail_ = this;
+      ++t.waiting_;
     }
     void await_resume() const noexcept {}
 
    private:
+    friend class Trigger;
     Trigger& trigger_;
+    WaitAwaitable* next_ = nullptr;
+    std::coroutine_handle<> handle_;
   };
 
   /// Awaitable that completes when fire() is called (immediately if already
   /// fired and the trigger is latched).
   [[nodiscard]] WaitAwaitable wait() { return WaitAwaitable(*this); }
 
-  /// Wakes all current waiters. With latch=true (default) later waiters
-  /// pass straight through; reset() re-arms the trigger.
+  /// Wakes all current waiters, in the order they suspended.  With
+  /// latch=true (default) later waiters pass straight through; reset()
+  /// re-arms the trigger.  The list is detached first, so a woken waiter
+  /// that waits again joins the next fire(), not this one.
   void fire(bool latch = true) {
     fired_ = latch;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) sim_.resume_soon(h);
+    WaitAwaitable* w = std::exchange(head_, nullptr);
+    tail_ = nullptr;
+    waiting_ = 0;
+    while (w != nullptr) {
+      WaitAwaitable* next = w->next_;
+      sim_.resume_soon(w->handle_);
+      w = next;
+    }
   }
 
   void reset() { fired_ = false; }
-  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
+  [[nodiscard]] std::size_t waiting() const { return waiting_; }
 
  private:
   Simulation& sim_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  WaitAwaitable* head_ = nullptr;
+  WaitAwaitable* tail_ = nullptr;
+  std::size_t waiting_ = 0;
 };
 
 /// Spawns `p` and returns an awaitable for its completion:

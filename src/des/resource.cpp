@@ -6,12 +6,13 @@ namespace pimsim::des {
 
 Resource::Resource(Simulation& sim, std::size_t capacity, std::string name)
     : sim_(sim), capacity_(capacity), name_(std::move(name)) {
-  require(capacity > 0, "Resource '" + name_ + "': capacity must be positive");
+  require(capacity > 0,
+          [&] { return "Resource '" + name_ + "': capacity must be positive"; });
 }
 
 bool Resource::AcquireAwaitable::await_ready() {
   Resource& r = resource_;
-  if (r.queue_.empty() && r.capacity_ - r.in_use_ >= n_) {
+  if (r.head_ == nullptr && r.capacity_ - r.in_use_ >= n_) {
     r.grant(n_, r.sim_.now());
     return true;
   }
@@ -20,8 +21,12 @@ bool Resource::AcquireAwaitable::await_ready() {
 
 void Resource::AcquireAwaitable::await_suspend(std::coroutine_handle<> h) {
   Resource& r = resource_;
-  r.queue_.push_back(Waiter{h, n_, r.sim_.now()});
-  r.queued_.set(r.sim_.now(), static_cast<double>(r.queue_.size()));
+  handle_ = h;
+  enqueued_at_ = r.sim_.now();
+  (r.tail_ != nullptr ? r.tail_->next_ : r.head_) = this;
+  r.tail_ = this;
+  ++r.queued_count_;
+  r.queued_.set(r.sim_.now(), static_cast<double>(r.queued_count_));
   // tracing_enabled() first: the mistake mailbox.hpp warns about — the
   // label lookup is not free on a hot path.
   if (r.sim_.tracing_enabled()) {
@@ -42,7 +47,7 @@ Resource::AcquireAwaitable Resource::acquire(std::size_t n) {
 bool Resource::try_acquire(std::size_t n) {
   require(n > 0 && n <= capacity_,
           [&] { return "Resource '" + name_ + "': bad try_acquire"; });
-  if (!queue_.empty() || capacity_ - in_use_ < n) return false;
+  if (head_ != nullptr || capacity_ - in_use_ < n) return false;
   grant(n, sim_.now());
   return true;
 }
@@ -68,12 +73,14 @@ void Resource::release(std::size_t n) {
 void Resource::drain_queue() {
   // Strict FIFO: stop at the first waiter that does not fit.  Each grant
   // wake-up is a raw coroutine-resume calendar entry — no allocation.
-  while (!queue_.empty() && capacity_ - in_use_ >= queue_.front().n) {
-    Waiter w = queue_.front();
-    queue_.pop_front();
-    queued_.set(sim_.now(), static_cast<double>(queue_.size()));
-    grant(w.n, w.enqueued_at);
-    sim_.resume_soon(w.handle);
+  while (head_ != nullptr && capacity_ - in_use_ >= head_->n_) {
+    AcquireAwaitable* w = head_;
+    head_ = w->next_;
+    if (head_ == nullptr) tail_ = nullptr;
+    --queued_count_;
+    queued_.set(sim_.now(), static_cast<double>(queued_count_));
+    grant(w->n_, w->enqueued_at_);
+    sim_.resume_soon(w->handle_);
   }
 }
 

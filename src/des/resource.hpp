@@ -4,11 +4,14 @@
 // Strict FIFO: a request at the head that cannot yet be satisfied blocks
 // later (even smaller) requests — no bypass, matching the queuing
 // discipline of the paper's Workbench models.
+//
+// The wait queue is an intrusive FIFO threaded through the suspended
+// AcquireAwaitables (each lives in its waiting frame), so queueing never
+// allocates.
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
-#include <deque>
 #include <string>
 
 #include "common/stats.hpp"
@@ -35,8 +38,13 @@ class Resource {
     void await_resume() const noexcept {}
 
    private:
+    friend class Resource;
     Resource& resource_;
     std::size_t n_;
+    // Queue node, meaningful only while suspended.
+    AcquireAwaitable* next_ = nullptr;
+    std::coroutine_handle<> handle_;
+    SimTime enqueued_at_ = 0.0;
   };
 
   /// Requests n units (default 1); throws ConfigError if n > capacity.
@@ -51,7 +59,7 @@ class Resource {
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   [[nodiscard]] std::size_t in_use() const { return in_use_; }
   [[nodiscard]] std::size_t available() const { return capacity_ - in_use_; }
-  [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
+  [[nodiscard]] std::size_t queue_length() const { return queued_count_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
   // --- statistics -------------------------------------------------------
@@ -67,12 +75,6 @@ class Resource {
   [[nodiscard]] std::uint64_t grants() const { return grants_; }
 
  private:
-  struct Waiter {
-    std::coroutine_handle<> handle;
-    std::size_t n;
-    SimTime enqueued_at;
-  };
-
   void grant(std::size_t n, SimTime enqueued_at);
   void drain_queue();
 
@@ -88,7 +90,9 @@ class Resource {
   std::size_t in_use_ = 0;
   std::string name_;
   mutable LabelId trace_label_ = kLabelUninterned;
-  std::deque<Waiter> queue_;
+  AcquireAwaitable* head_ = nullptr;  // oldest waiter
+  AcquireAwaitable* tail_ = nullptr;
+  std::size_t queued_count_ = 0;
   TimeWeighted busy_;
   TimeWeighted queued_;
   RunningStats wait_;

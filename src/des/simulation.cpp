@@ -27,6 +27,12 @@ bool env_enabled(const char* value) {
 }  // namespace
 
 Simulation::Simulation() {
+  // Start the per-event vectors at a working size, so a short run pays
+  // one allocation per structure rather than a ladder of doublings.
+  slots_.reserve(kInitialCapacity);
+  now_queue_.reserve(kInitialCapacity);
+  heap_.reserve(kInitialCapacity);
+  live_order_.reserve(kInitialCapacity);
   // PIMSIM_AUDIT / PIMSIM_TRACE / PIMSIM_METRICS / PIMSIM_PROFILE turn the
   // corresponding layer on for every simulation in the process — the seam
   // `pimsim run ... audit=1 trace=... metrics=... profile=1` uses to reach

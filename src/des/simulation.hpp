@@ -299,6 +299,8 @@ class Simulation {
   /// Compaction is skipped below this calendar size: a bounded number of
   /// stale entries is cheaper to skip at dispatch than to rebuild away.
   static constexpr std::size_t kCompactFloor = 64;
+  /// Initial capacity of the slot pool, calendar and registry vectors.
+  static constexpr std::size_t kInitialCapacity = 64;
 
   struct Slot {
     EventAction action;
@@ -486,6 +488,7 @@ inline void Simulation::wheel_push(SimTime at, std::uint64_t seq,
                                     std::uint32_t slot, std::uint32_t gen) {
   if (!wheel_buckets_) {
     wheel_buckets_ = std::make_unique_for_overwrite<WheelBucket[]>(kWheelSpan);
+    wheel_nodes_.reserve(kInitialCapacity);
   }
   std::uint32_t node = wheel_free_;
   if (node != kNoSlot) {

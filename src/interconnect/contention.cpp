@@ -39,9 +39,11 @@ void ContentionInterconnect::bind(des::Simulation& sim) const {
 
 void ContentionInterconnect::deliver(des::Simulation& sim, NodeId src,
                                      NodeId dst, std::size_t bytes,
-                                     std::function<void()> arrive) const {
+                                     des::EventAction::StaticFn arrive,
+                                     void* ctx, std::uint64_t a,
+                                     std::uint64_t b) const {
   bind(sim);
-  net_->send(src, dst, bytes, std::move(arrive));
+  net_->send(src, dst, bytes, arrive, ctx, a, b);
 }
 
 void ContentionInterconnect::collect_metrics(obs::MetricsRegistry& registry) const {

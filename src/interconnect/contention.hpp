@@ -39,9 +39,11 @@ class ContentionInterconnect final : public parcel::Interconnect {
   const char* name() const override { return name_.c_str(); }
 
   /// Injects the message into the packet network (binding to `sim` on
-  /// first use); `arrive` fires when the last flit reaches dst.
+  /// first use); `arrive(ctx, a, b)` runs when the last flit reaches dst.
   void deliver(des::Simulation& sim, NodeId src, NodeId dst, std::size_t bytes,
-               std::function<void()> arrive) const override;
+               des::EventAction::StaticFn arrive, void* ctx, std::uint64_t a,
+               std::uint64_t b) const override;
+  using parcel::Interconnect::deliver;
 
   /// Spawns the packet network into `sim` eagerly (deliver() binds
   /// lazily; binding up front lets callers inspect network() first).

@@ -62,7 +62,6 @@ void PacketNetwork::free_packet(Handle handle) {
   const auto index = static_cast<std::uint32_t>(handle);
   PacketRec& r = pool_[index];
   if (++r.generation == 0) r.generation = 1;
-  r.on_delivered = nullptr;
   r.next_free = pool_free_;
   pool_free_ = index;
 }
@@ -137,7 +136,8 @@ void PacketNetwork::collect_metrics(obs::MetricsRegistry& registry) {
 // --- public API ----------------------------------------------------------
 
 void PacketNetwork::send(NodeId src, NodeId dst, std::size_t bytes,
-                         std::function<void()> on_delivered) {
+                         des::EventAction::StaticFn on_delivered, void* ctx,
+                         std::uint64_t a, std::uint64_t b) {
   require(src < topo_.nodes() && dst < topo_.nodes(),
           "PacketNetwork::send: node out of range");
   const Handle handle = alloc_packet();
@@ -147,7 +147,10 @@ void PacketNetwork::send(NodeId src, NodeId dst, std::size_t bytes,
   p.flits = static_cast<std::uint32_t>(flit_count(bytes, cfg_.flit_bytes));
   p.ejected = 0;
   p.injected_at = sim_.now();
-  p.on_delivered = std::move(on_delivered);
+  p.on_delivered = on_delivered;
+  p.ctx = ctx;
+  p.a = a;
+  p.b = b;
   ++sent_;
 
   const std::uint32_t first = topo_.next_link(topo_.attach(src), dst);
@@ -734,9 +737,9 @@ void PacketNetwork::complete(Handle handle) {
   latency_hist_.add(latency);
   if (m_latency_) m_latency_->add(latency);
   ++delivered_;
-  std::function<void()> cb = std::move(p.on_delivered);
+  const PacketRec done = p;  // the callback may send, reusing the slot
   free_packet(handle);
-  if (cb) cb();
+  if (done.on_delivered != nullptr) done.on_delivered(done.ctx, done.a, done.b);
 }
 
 }  // namespace pimsim::interconnect

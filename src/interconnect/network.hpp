@@ -53,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -85,12 +84,15 @@ class PacketNetwork {
   PacketNetwork(const PacketNetwork&) = delete;
   PacketNetwork& operator=(const PacketNetwork&) = delete;
 
-  /// Injects a `bytes`-byte message from src to dst; `on_delivered` (may
-  /// be empty) fires when the last flit is consumed at the destination.
-  /// The NIC holds the message as one O(1) queue entry and meters flits
-  /// onto the first link as its serializer drains.
+  /// Injects a `bytes`-byte message from src to dst; `on_delivered(ctx,
+  /// a, b)` (nullptr: nothing to notify) runs when the last flit is
+  /// consumed at the destination — the 4-word completion of
+  /// parcel::Interconnect::deliver.  The NIC holds the message as one
+  /// O(1) queue entry and meters flits onto the first link as its
+  /// serializer drains.
   void send(NodeId src, NodeId dst, std::size_t bytes,
-            std::function<void()> on_delivered = {});
+            des::EventAction::StaticFn on_delivered = nullptr,
+            void* ctx = nullptr, std::uint64_t a = 0, std::uint64_t b = 0);
 
   /// Contention-free end-to-end latency of a `bytes`-byte message (the
   /// closed form from PacketConfig; assumes credits never stall the
@@ -135,7 +137,10 @@ class PacketNetwork {
     std::uint32_t generation = 1;
     std::uint32_t next_free = 0xffffffffu;
     SimTime injected_at = 0.0;
-    std::function<void()> on_delivered;
+    des::EventAction::StaticFn on_delivered = nullptr;  ///< completion: fn(ctx, a, b)
+    void* ctx = nullptr;
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
   };
   using Handle = std::uint64_t;
 

@@ -11,8 +11,11 @@ namespace pimsim::parcel {
 
 void Interconnect::deliver(des::Simulation& sim, NodeId src, NodeId dst,
                            std::size_t /*bytes*/,
-                           std::function<void()> arrive) const {
-  sim.schedule_in(one_way_latency(src, dst), std::move(arrive));
+                           des::EventAction::StaticFn arrive, void* ctx,
+                           std::uint64_t a, std::uint64_t b) const {
+  if (arrive == nullptr) return;  // nothing observes the arrival
+  (void)sim.schedule_static_at(sim.now() + one_way_latency(src, dst), arrive,
+                               ctx, a, b);
 }
 
 FlatInterconnect::FlatInterconnect(Cycles round_trip)

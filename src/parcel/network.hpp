@@ -13,11 +13,13 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/units.hpp"
+#include "des/event_action.hpp"
 #include "parcel/parcel.hpp"
 
 namespace pimsim::des {
@@ -45,13 +47,32 @@ class Interconnect {
     return one_way_latency(src, dst) + one_way_latency(dst, src);
   }
 
-  /// Delivers a `bytes`-byte message from src to dst, invoking `arrive`
-  /// when it reaches the destination.  The analytic default schedules
-  /// `arrive` after one_way_latency(src, dst) — contention-free, and
-  /// byte-size independent.  Contention-aware models override this to
-  /// inject the message into their simulated network instead.
+  /// Delivers a `bytes`-byte message from src to dst and, when it
+  /// reaches the destination, calls `arrive(ctx, a, b)` — the same 4-word
+  /// static-call completion as mem::MemorySystem::access, so delivering
+  /// never builds or boxes a closure.  `arrive` may be nullptr (nothing
+  /// to notify).  Callers pack what the arrival needs into the words: the
+  /// parcel systems pass (mailbox-send thunk, mailbox, src, reply
+  /// trigger) for a request and (trigger-fire thunk, trigger, 0, 0) for a
+  /// reply.  The analytic default schedules the completion as one
+  /// static-call event after one_way_latency(src, dst) — contention-free,
+  /// and byte-size independent.  Contention-aware models override this
+  /// to inject the message into their simulated network instead.
   virtual void deliver(des::Simulation& sim, NodeId src, NodeId dst,
-                       std::size_t bytes, std::function<void()> arrive) const;
+                       std::size_t bytes, des::EventAction::StaticFn arrive,
+                       void* ctx, std::uint64_t a, std::uint64_t b) const;
+
+  /// Convenience for a completion that carries no state (a captureless
+  /// lambda such as `[] {}`): forwards to the 4-word form above.
+  template <typename F>
+    requires(std::is_empty_v<F> && std::is_default_constructible_v<F> &&
+             std::is_invocable_v<F&>)
+  void deliver(des::Simulation& sim, NodeId src, NodeId dst, std::size_t bytes,
+               F /*arrive*/) const {
+    deliver(sim, src, dst, bytes,
+            [](void*, std::uint64_t, std::uint64_t) { F{}(); }, nullptr, 0,
+            0);
+  }
 
   /// Worker processes this model currently has parked in a Simulation
   /// (forever-idle, by design).  Harnesses that audit suspended

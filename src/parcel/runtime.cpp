@@ -96,12 +96,27 @@ void ParcelMachine::ship(Parcel parcel) {
   auto bytes = serialize(parcel);
   const std::size_t wire_bytes = bytes.size();
   nodes_[parcel.src]->stats.bytes_sent += wire_bytes;
-  auto* inbox = nodes_[parcel.dst]->inbox.get();
+  std::uint32_t slot;
+  if (wire_free_.empty()) {
+    slot = static_cast<std::uint32_t>(wire_.size());
+    wire_.push_back(std::move(bytes));
+  } else {
+    slot = wire_free_.back();
+    wire_free_.pop_back();
+    wire_[slot] = std::move(bytes);
+  }
   // The interconnect seam: analytic models schedule the arrival after
   // their closed-form latency; the packet-level model segments the wire
   // image into flits and delivers when the last one lands.
-  net_.deliver(sim_, parcel.src, parcel.dst, wire_bytes,
-               [inbox, bytes = std::move(bytes)] { inbox->send(bytes); });
+  net_.deliver(sim_, parcel.src, parcel.dst, wire_bytes, &ParcelMachine::arrive,
+               this, slot, parcel.dst);
+}
+
+void ParcelMachine::arrive(void* machine, std::uint64_t slot,
+                           std::uint64_t dst) {
+  auto& m = *static_cast<ParcelMachine*>(machine);
+  m.nodes_[dst]->inbox->send(std::move(m.wire_[slot]));
+  m.wire_free_.push_back(static_cast<std::uint32_t>(slot));
 }
 
 des::Process ParcelMachine::engine(Node& node, NodeId id) {

@@ -152,6 +152,8 @@ class ParcelMachine {
   };
 
   void ship(Parcel parcel);
+  /// deliver() completion: moves wire image `slot` into node `dst`'s inbox.
+  static void arrive(void* machine, std::uint64_t slot, std::uint64_t dst);
   des::Process engine(Node& node, NodeId id);
 
   des::Simulation& sim_;
@@ -160,6 +162,10 @@ class ParcelMachine {
   const mem::MemorySystem* memory_;  ///< nullptr: flat memory_access cost
   ActionRegistry registry_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  // Wire images in flight, indexed by the slot deliver() carries; freed
+  // slots are reused, so the slab is as large as the peak in flight.
+  std::vector<std::vector<std::uint8_t>> wire_;
+  std::vector<std::uint32_t> wire_free_;
   // Observability hooks, bound at construction iff the respective layer
   // is on (null / zero-label otherwise; see src/obs/).
   obs::Summary* m_rtt_ = nullptr;      ///< request round-trip summary

@@ -1,5 +1,6 @@
 #include "parcel/system.hpp"
 
+#include <cstdint>
 #include <memory>
 
 #include "common/error.hpp"
@@ -101,6 +102,36 @@ struct ControlNode {
   std::uint64_t next_offset = 0;  ///< banked memory: address stream cursor
 };
 
+/// Arrival of a request: hands SimMessage{src, reply} to the destination
+/// node's input mailbox (ctx).
+void send_request(void* box, std::uint64_t src, std::uint64_t reply) {
+  static_cast<des::Mailbox<SimMessage>*>(box)->send(
+      SimMessage{static_cast<NodeId>(src),
+                 reinterpret_cast<des::Trigger*>(static_cast<std::uintptr_t>(reply))});
+}
+
+/// Arrival of a reply: reactivates the waiting requester (ctx).
+void fire_reply(void* reply, std::uint64_t, std::uint64_t) {
+  static_cast<des::Trigger*>(reply)->fire();
+}
+
+/// The interconnect's 4-word completion, carried through inject().
+struct Arrival {
+  des::EventAction::StaticFn fn;
+  void* ctx;
+  std::uint64_t a;
+  std::uint64_t b;
+};
+
+Arrival request_arrival(des::Mailbox<SimMessage>& box, const SimMessage& msg) {
+  return {&send_request, &box, msg.src,
+          static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(msg.reply))};
+}
+
+Arrival reply_arrival(des::Trigger* reply) {
+  return {&fire_reply, reply, 0, 0};
+}
+
 /// Ships a message: serializes through the sender's NIC when nic_gap > 0,
 /// then hands it to the interconnect's deliver() seam — the analytic
 /// models schedule arrival after their closed-form latency (preserving
@@ -109,20 +140,21 @@ struct ControlNode {
 /// simulated network instead.
 des::Process inject(des::Simulation& sim, des::Resource& nic, Cycles gap,
                     const Interconnect& net, NodeId src, NodeId dst,
-                    std::size_t bytes, std::function<void()> arrive) {
+                    std::size_t bytes, Arrival arrive) {
   co_await nic.acquire();
   co_await des::delay(sim, gap);
   nic.release();
-  net.deliver(sim, src, dst, bytes, std::move(arrive));
+  net.deliver(sim, src, dst, bytes, arrive.fn, arrive.ctx, arrive.a, arrive.b);
 }
 
 void ship(des::Simulation& sim, des::Resource& nic, Cycles gap,
           const Interconnect& net, NodeId src, NodeId dst, std::size_t bytes,
-          std::function<void()> arrive) {
+          Arrival arrive) {
   if (gap <= 0.0) {
-    net.deliver(sim, src, dst, bytes, std::move(arrive));
+    net.deliver(sim, src, dst, bytes, arrive.fn, arrive.ctx, arrive.a,
+                arrive.b);
   } else {
-    sim.spawn(inject(sim, nic, gap, net, src, dst, bytes, std::move(arrive)));
+    sim.spawn(inject(sim, nic, gap, net, src, dst, bytes, arrive));
   }
 }
 
@@ -239,15 +271,13 @@ class MessagePassingSystem {
     }
     ++n.stats.accesses_served;
     // Return the reply over the network; it unblocks the requester.
-    des::Trigger* reply = msg.reply;
     ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg.src, p_.message_bytes,
-         [reply] { reply->fire(); });
+         reply_arrival(msg.reply));
   }
 
   void deliver(NodeId src, NodeId dst, SimMessage msg) {
-    auto* box = &nodes_[dst]->incoming;
     ship(sim_, nodes_[src]->nic, p_.nic_gap, net_, src, dst, p_.message_bytes,
-         [box, msg] { box->send(msg); });
+         request_arrival(nodes_[dst]->incoming, msg));
   }
 
   SplitTransactionParams p_;
@@ -416,15 +446,13 @@ class SplitTransactionSystem {
     }
     n.cpu.release();
     ++n.stats.accesses_served;
-    des::Trigger* reply = msg.reply;
     ship(sim_, n.nic, p_.nic_gap, net_, n.id, msg.src, p_.message_bytes,
-         [reply] { reply->fire(); });
+         reply_arrival(msg.reply));
   }
 
   void deliver(NodeId src, NodeId dst, SimMessage msg) {
-    auto* box = &nodes_[dst]->incoming;
     ship(sim_, nodes_[src]->nic, p_.nic_gap, net_, src, dst, p_.message_bytes,
-         [box, msg] { box->send(msg); });
+         request_arrival(nodes_[dst]->incoming, msg));
   }
 
   SplitTransactionParams p_;

@@ -35,6 +35,17 @@ struct GoldenSummary {
   std::vector<std::pair<std::size_t, std::uint64_t>> hist_bins;  ///< nonzero
 };
 
+/// Delivery completion for the packet-network tests: stores sim.now()
+/// into the double that `out` points to.  Pass as
+/// `(&stamp_now, &sim, stamp_slot(&x), 0)`.
+inline void stamp_now(void* sim, std::uint64_t out, std::uint64_t) {
+  *reinterpret_cast<double*>(static_cast<std::uintptr_t>(out)) =
+      static_cast<des::Simulation*>(sim)->now();
+}
+inline std::uint64_t stamp_slot(double* out) {
+  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(out));
+}
+
 inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
   for (int i = 0; i < 8; ++i) {
     h ^= (x >> (8 * i)) & 0xffu;
@@ -62,9 +73,8 @@ des::Process golden_generator(des::Simulation& sim, Network& net, NodeId src,
     }
     const std::size_t bytes = rng.uniform_int(0, 96);
     const std::size_t slot = slot0 + static_cast<std::size_t>(i);
-    net.send(src, dst, bytes, [&sim, deliveries, slot] {
-      (*deliveries)[slot] = sim.now();
-    });
+    net.send(src, dst, bytes, &stamp_now, &sim,
+             stamp_slot(&(*deliveries)[slot]), 0);
     co_await des::delay(sim, gap_scale * (1.0 + static_cast<double>(
                                                     rng.uniform_int(0, 6))));
   }

@@ -9,6 +9,7 @@
 #include "common/rng.hpp"
 #include "des/process.hpp"
 #include "des/simulation.hpp"
+#include "golden_traffic.hpp"
 #include "interconnect/contention.hpp"
 #include "interconnect/network.hpp"
 #include "interconnect/packet.hpp"
@@ -135,7 +136,8 @@ double measure_one(const Topology& topo, const PacketConfig& cfg, NodeId src,
   des::Simulation sim;
   PacketNetwork net(sim, topo, cfg);
   double delivered_at = -1.0;
-  net.send(src, dst, bytes, [&] { delivered_at = sim.now(); });
+  net.send(src, dst, bytes, &golden::stamp_now, &sim,
+           golden::stamp_slot(&delivered_at), 0);
   sim.run();
   EXPECT_EQ(net.packets_in_flight(), 0u);
   EXPECT_GE(delivered_at, 0.0);
@@ -334,7 +336,8 @@ TEST(ContentionInterconnect, SingleParcelDeliveryMatchesAnalytic) {
         const auto packet = make_contention_interconnect(kind, 16, 300.0);
         des::Simulation sim;
         double delivered_at = -1.0;
-        packet->deliver(sim, a, b, 8, [&] { delivered_at = sim.now(); });
+        packet->deliver(sim, a, b, 8, &golden::stamp_now, &sim,
+                        golden::stamp_slot(&delivered_at), 0);
         sim.run();
         EXPECT_NEAR(delivered_at, analytic->one_way_latency(a, b), 1e-9)
             << kind << " pair " << a << "->" << b;

@@ -133,7 +133,8 @@ TEST(GoldenTiming, ModesAgreeWhereverThereAreNoTies) {
           PacketConfig cfg = golden::golden_config();
           cfg.wormhole = mode == 1;
           PacketNetwork net(sim, golden::golden_topology(kind), cfg);
-          net.send(src, dst, 90, [&, mode] { at[mode] = sim.now(); });
+          net.send(src, dst, 90, &golden::stamp_now, &sim,
+                   golden::stamp_slot(&at[mode]), 0);
           sim.run();
         }
         EXPECT_EQ(at[0], at[1]) << kind << " " << src << "->" << dst;
@@ -156,8 +157,10 @@ TEST(GoldenTiming, ModesAgreeUnderStaggeredContentionWithoutTies) {
     PacketNetwork net(sim, TopologyBuilder::mesh2d(4, 4), cfg);
     double a_at = -1.0;
     double b_at = -1.0;
-    net.send(0, 2, 32, [&] { a_at = sim.now(); });
-    sim.schedule_in(2.0, [&] { net.send(1, 2, 8, [&] { b_at = sim.now(); }); });
+    net.send(0, 2, 32, &golden::stamp_now, &sim, golden::stamp_slot(&a_at), 0);
+    sim.schedule_in(2.0, [&] {
+      net.send(1, 2, 8, &golden::stamp_now, &sim, golden::stamp_slot(&b_at), 0);
+    });
     sim.run();
     EXPECT_EQ(b_at, 6.0) << "mode " << mode;  // 2 + 1 hop at cost 4
     // B clears the wire at t=3, one cycle before A's head flit arrives,

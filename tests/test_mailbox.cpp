@@ -105,6 +105,53 @@ TEST(Mailbox, ItemsAndWaitersNeverCoexist) {
   EXPECT_EQ(got[2].first, 3);
 }
 
+TEST(Mailbox, CountsTrackWaitersAndQueuedMessages) {
+  Simulation sim;
+  Mailbox<int> box(sim);
+  std::vector<std::pair<int, double>> a, b, c;
+  sim.spawn(receiver(sim, box, &a, 1));
+  sim.spawn(receiver(sim, box, &b, 1));
+  sim.spawn(receiver(sim, box, &c, 1));
+  sim.run();
+  EXPECT_EQ(box.waiting_receivers(), 3u);
+  box.send(1);
+  box.send(2);
+  EXPECT_EQ(box.waiting_receivers(), 1u);  // handed straight to a and b
+  EXPECT_EQ(box.pending(), 0u);
+  box.send(3);
+  box.send(4);
+  box.send(5);
+  EXPECT_EQ(box.waiting_receivers(), 0u);
+  EXPECT_EQ(box.pending(), 2u);
+  sim.run();
+  EXPECT_EQ(a, (std::vector<std::pair<int, double>>{{1, 0.0}}));
+  EXPECT_EQ(b, (std::vector<std::pair<int, double>>{{2, 0.0}}));
+  EXPECT_EQ(c, (std::vector<std::pair<int, double>>{{3, 0.0}}));
+  EXPECT_EQ(box.try_receive(), 4);
+  EXPECT_EQ(box.try_receive(), 5);
+  EXPECT_FALSE(box.try_receive().has_value());
+}
+
+TEST(Mailbox, LongBacklogStaysFifo) {
+  // The queue never drains: the consumed prefix is compacted away while
+  // sends keep arriving, and order is preserved throughout.
+  Simulation sim;
+  Mailbox<int> box(sim);
+  int next_sent = 0;
+  int next_expected = 0;
+  for (int round = 0; round < 500; ++round) {
+    for (int i = 0; i < 3; ++i) box.send(next_sent++);
+    for (int i = 0; i < 2; ++i) {
+      const auto v = box.try_receive();
+      ASSERT_TRUE(v.has_value());
+      ASSERT_EQ(*v, next_expected++);
+    }
+    ASSERT_EQ(box.pending(), static_cast<std::size_t>(next_sent - next_expected));
+  }
+  while (const auto v = box.try_receive()) ASSERT_EQ(*v, next_expected++);
+  EXPECT_EQ(next_expected, next_sent);
+}
+
 TEST(Mailbox, MoveOnlyPayloadsWork) {
   Simulation sim;
   Mailbox<std::unique_ptr<int>> box(sim);

@@ -1,10 +1,14 @@
 // Tests for the coroutine process layer.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "common/error.hpp"
+#include "des/mailbox.hpp"
 #include "des/process.hpp"
+#include "des/resource.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
@@ -152,6 +156,43 @@ TEST(Process, TeardownOrderFollowsTheSwapAndPopRegistry) {
   EXPECT_EQ(log, (std::vector<int>{0, 3, 1, 2}));
 }
 
+TEST(Process, JoinOutlivesTheRecycledFrame) {
+  // Three joiners of one process: one waits before it finishes, two ask
+  // only after its frame was freed and its memory handed to another
+  // process of the same shape.  The join state outlives the frame.
+  Simulation sim;
+  double finished = -1.0, reused = -1.0;
+  double joined[3] = {-1.0, -1.0, -1.0};
+  Process worker = sleeper(sim, 3.0, &finished);
+  auto j0 = worker.join();
+  auto j1 = worker.join();
+  auto j2 = worker.join();
+  sim.spawn(joiner(sim, std::move(j0), &joined[0]));
+  sim.spawn(std::move(worker));
+  sim.run();
+  EXPECT_DOUBLE_EQ(finished, 3.0);
+  EXPECT_DOUBLE_EQ(joined[0], 3.0);
+  EXPECT_FALSE(worker.done());  // the spawned handle no longer has a frame
+  sim.spawn(sleeper(sim, 4.0, &reused));  // likely takes the freed block
+  sim.spawn(joiner(sim, std::move(j1), &joined[1]));
+  sim.run();
+  sim.spawn(joiner(sim, std::move(j2), &joined[2]));
+  sim.run();
+  EXPECT_DOUBLE_EQ(reused, 7.0);
+  EXPECT_DOUBLE_EQ(joined[1], 3.0);  // already done: no suspension
+  EXPECT_DOUBLE_EQ(joined[2], 7.0);
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+TEST(Process, JoinOnAnEmptyHandleThrows) {
+  Simulation sim;
+  double finished = -1.0;
+  Process worker = sleeper(sim, 1.0, &finished);
+  sim.spawn(std::move(worker));
+  EXPECT_THROW((void)worker.join(), LogicError);  // NOLINT(bugprone-use-after-move)
+  sim.run();
+}
+
 Process wait_on(Simulation& sim, Trigger& trigger, double* woke_at) {
   co_await trigger.wait();
   *woke_at = sim.now();
@@ -191,6 +232,47 @@ TEST(Trigger, ResetReArms) {
   EXPECT_DOUBLE_EQ(woke, 9.0);
 }
 
+Process rewaiter(Simulation& sim, Trigger& trigger, std::vector<double>* wakes,
+                 int times) {
+  // Two co_await sites, so the second wait's queue node sits elsewhere in
+  // the frame than the node the first fire() unlinked.
+  co_await trigger.wait();
+  wakes->push_back(sim.now());
+  for (int i = 1; i < times; ++i) {
+    co_await trigger.wait();
+    wakes->push_back(sim.now());
+  }
+}
+
+TEST(Trigger, WaiterThatWaitsAgainJoinsTheNextFire) {
+  // fire() detaches its waiter list before waking anyone, and wakes
+  // through the calendar, so a woken process that waits again on the
+  // same trigger is parked for the next fire(), not woken twice by one.
+  Simulation sim;
+  Trigger trigger(sim);
+  std::vector<double> a, b;
+  sim.spawn(rewaiter(sim, trigger, &a, 3));
+  sim.spawn(rewaiter(sim, trigger, &b, 2));
+  sim.schedule_at(5.0, [&] {
+    trigger.fire(/*latch=*/false);
+    EXPECT_EQ(trigger.waiting(), 0u);
+    EXPECT_TRUE(a.empty());  // not resumed inside fire()
+  });
+  sim.schedule_at(5.0, [&] { EXPECT_EQ(trigger.waiting(), 0u); });
+  sim.schedule_at(6.0, [&] {
+    EXPECT_EQ(trigger.waiting(), 2u);
+    trigger.fire(false);
+  });
+  sim.schedule_at(9.0, [&] {
+    EXPECT_EQ(trigger.waiting(), 1u);
+    trigger.fire(false);
+  });
+  sim.run();
+  EXPECT_EQ(a, (std::vector<double>{5.0, 6.0, 9.0}));
+  EXPECT_EQ(b, (std::vector<double>{5.0, 6.0}));
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
 Process count_down_later(Simulation& sim, CountdownLatch& latch, Cycles at) {
   co_await delay(sim, at);
   latch.count_down();
@@ -228,6 +310,56 @@ TEST(CountdownLatch, ExtraCountdownsAreIgnored) {
   latch.count_down();
   latch.count_down();  // no underflow
   EXPECT_EQ(latch.remaining(), 0u);
+}
+
+Process hold_forever(Simulation& sim, Resource& r) {
+  co_await r.acquire();
+  co_await delay(sim, 1e9);
+}
+
+Process take_one(Mailbox<int>& box) { (void)co_await box.receive(); }
+
+Process queue_everywhere(Simulation& sim, Resource& r, Mailbox<int>& box,
+                         Trigger& t) {
+  Process holder = hold_forever(sim, r);
+  auto join = holder.join();
+  sim.spawn(std::move(holder));
+  sim.spawn(hold_forever(sim, r));  // queued behind the holder
+  sim.spawn(take_one(box));
+  sim.spawn(take_one(box));
+  sim.spawn(wait_on(sim, t, nullptr));
+  sim.spawn(wait_on(sim, t, nullptr));
+  co_await join;  // a joiner linked to a process that never ends
+}
+
+TEST(Process, TeardownWithWaitersLinkedInEveryQueue) {
+  // Frames parked in Resource, Mailbox, Trigger and join queues are
+  // destroyed with the Simulation; their queue nodes die with them and
+  // nothing walks the queues afterwards.  Both destruction orders: the
+  // queues outlive the Simulation, or die first (parcel/system.cpp's
+  // layout).  The sanitizer jobs check there is no stray access.
+  {
+    std::optional<Simulation> sim(std::in_place);
+    Resource r(*sim, 1, "r");
+    Mailbox<int> box(*sim, "box");
+    Trigger t(*sim);
+    sim->spawn(queue_everywhere(*sim, r, box, t));
+    sim->run_until(10.0);
+    EXPECT_EQ(r.queue_length(), 1u);
+    EXPECT_EQ(box.waiting_receivers(), 2u);
+    EXPECT_EQ(t.waiting(), 2u);
+    EXPECT_EQ(sim->live_processes(), 7u);
+    sim.reset();
+  }
+  {
+    Simulation sim;
+    Resource r(sim, 1, "r");
+    Mailbox<int> box(sim, "box");
+    Trigger t(sim);
+    sim.spawn(queue_everywhere(sim, r, box, t));
+    sim.run_until(10.0);
+    EXPECT_EQ(sim.live_processes(), 7u);
+  }
 }
 
 }  // namespace

@@ -88,6 +88,30 @@ TEST(Resource, StrictFifoNoBypass) {
   EXPECT_DOUBLE_EQ(grants[2].second, 20.0);  // after the head releases both
 }
 
+TEST(Resource, StrictFifoWithMixedDemandsAndQueueCounts) {
+  // Capacity 4, all held until t=10; A(2), B(3), C(1) queue in that
+  // order.  At t=10 A fits; B does not, and C must wait behind it even
+  // though its one unit would fit.  When A leaves at t=15, B then C.
+  Simulation sim;
+  Resource r(sim, 4);
+  std::vector<std::pair<int, double>> grants;
+  sim.spawn(hold_n(sim, r, 4, 10.0, 0, &grants));
+  sim.spawn(hold_n(sim, r, 2, 5.0, 1, &grants));
+  sim.spawn(hold_n(sim, r, 3, 1.0, 2, &grants));
+  sim.spawn(hold_n(sim, r, 1, 1.0, 3, &grants));
+  sim.run_until(5.0);
+  EXPECT_EQ(r.queue_length(), 3u);
+  sim.run_until(12.0);
+  EXPECT_EQ(r.queue_length(), 2u);  // B and C still linked, in order
+  EXPECT_EQ(r.in_use(), 2u);
+  sim.run();
+  EXPECT_EQ(r.queue_length(), 0u);
+  const std::vector<std::pair<int, double>> want = {
+      {0, 0.0}, {1, 10.0}, {2, 15.0}, {3, 15.0}};
+  EXPECT_EQ(grants, want);
+  EXPECT_EQ(r.grants(), 4u);
+}
+
 TEST(Resource, TryAcquireDoesNotWait) {
   Simulation sim;
   Resource r(sim, 1);
