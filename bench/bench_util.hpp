@@ -1,13 +1,11 @@
-// Shared plumbing for the bench binaries: parse key=value overrides from
-// argv, print tables (text or CSV), time figure generation, emit the
-// BENCH_*.json throughput trajectories in one shared format, and check
-// them against the perf-regression floors in bench/baselines.json.
+// Shared plumbing for the perf bench binaries: print tables (text or
+// CSV), emit the BENCH_*.json throughput trajectories in one shared
+// format, and check them against the perf-regression floors in
+// bench/baselines.json.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -16,7 +14,6 @@
 #include "common/config.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
-#include "core/scenario.hpp"
 
 namespace pimsim::bench {
 
@@ -128,38 +125,6 @@ inline void emit(const Table& table, const Config& cfg) {
     table.print(std::cout);
   }
   std::cout << "\n";
-}
-
-/// Runs a table generator, reporting wall time and honoring csv=1.
-template <typename Fn>
-int run_figure(int argc, char** argv, Fn&& generate) {
-  try {
-    const Config cfg = Config::from_args(argc, argv);
-    const auto start = std::chrono::steady_clock::now();
-    const Table table = generate(cfg);
-    const auto elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-    emit(table, cfg);
-    std::ostringstream line;
-    line << "# generated in " << std::fixed << std::setprecision(6) << elapsed
-         << " s\n";
-    std::cerr << line.str();
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-}
-
-/// Runs a registered scenario (core/scenario.hpp) as a bench binary:
-/// identical output and timing to run_figure, plus the registry's typed
-/// parameter validation (unknown keys fail loudly, listing valid ones).
-/// This is the whole body of the thin bench_* wrappers.
-inline int run_scenario_main(int argc, char** argv, const char* name) {
-  return run_figure(argc, argv, [name](const Config& cfg) {
-    return core::run_scenario(name, cfg, /*extra_allowed=*/{"csv"});
-  });
 }
 
 }  // namespace pimsim::bench

@@ -1,7 +1,8 @@
-// Lightweight key=value configuration used by the bench/example binaries to
-// override model parameters from the command line, e.g.
+// Lightweight key=value configuration used by the pimsim CLI and the
+// bench/example binaries to override model parameters from the command
+// line, e.g.
 //
-//     bench_fig11 nodes=64 latency=500 premote=0.2 csv=1
+//     pimsim run fig11 nodes=64 latencies=500 remotes=0.2 format=csv
 //
 // Unknown keys are rejected so typos fail loudly.
 #pragma once

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <limits>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -17,7 +16,6 @@
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/chunk.hpp"
-#include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
 #include "des/audit.hpp"
@@ -39,9 +37,8 @@ usage:
   pimsim run <scenario> [key=value ...] [format=text|csv|json] [out=PATH]
               [audit=1] [trace=PATH] [metrics=PATH] [profile=1]
       Runs one scenario.  Unknown keys and mistyped values fail loudly,
-      listing the scenario's valid keys.  format defaults to text
-      (csv=1 is accepted as an alias for format=csv); out defaults to
-      stdout.  audit=1 turns on the event kernel's determinism audit
+      listing the scenario's valid keys.  format defaults to text; out
+      defaults to stdout.  audit=1 turns on the event kernel's determinism audit
       (event-chain hashing + invariant sweeps; see docs/DETERMINISM.md)
       and reports the chain summary on stderr.
       Scenarios with a `reps` knob run reps= seed-streamed replications
@@ -63,36 +60,36 @@ usage:
       ('#' comments); a comma-separated value for a *scalar* parameter
       declares a grid axis (list-typed parameters pass through
       verbatim).  Command-line key=value pairs override the file.
-      Points fan out across a SweepRunner pool of `jobs` threads
-      (0 = all cores); each point's own `threads` knob is pinned to 1
-      unless set explicitly.  Output is one table per point, preceded
-      by `# <scenario> <assignment>`.  metrics=PATH aggregates the
-      metrics registries of every point into one dump (deterministic
-      regardless of jobs=N); profile=1 prints the pooled dispatch
-      profile on stderr.
+      The grid is a list of (point, rep) units — one per replication
+      of each point, so a plain point is one unit — fanned out across
+      a SweepRunner pool of `jobs` threads (0 = all cores); each
+      point's own `threads` knob is pinned to 1 unless set explicitly.
+      Output is one table per point (its units folded), preceded by
+      `# <scenario> <assignment>`.  metrics=PATH aggregates the metrics
+      registries of every unit into one dump (deterministic regardless
+      of jobs=N); profile=1 prints the pooled dispatch profile on
+      stderr.
       shard=i/N runs only shard i of a deterministic N-way partition
-      of the grid (heaviest points spread first) and requires out=DIR:
-      the shard writes a self-describing chunk (rendered blocks +
-      "pimsim-chunk-v1" JSON sidecar with per-point fingerprints and
-      metrics snapshots) plus an idempotent manifest.json into DIR.
-      Rerunning a shard whose valid chunk already exists is a no-op
-      skip, so a killed sweep resumes from its surviving chunks.  When
-      any point requests reps > 1 the shard plan splits (point, rep)
-      units instead of points — `reps=32 shard=i/N` spreads the 32
-      replications across the N shards — and chunks carry exact
-      serialized per-rep tables that merge refolds bit-for-bit.  See
-      docs/SWEEPS.md, docs/REPLICATION.md, tools/pimsim_sweep_all.sh.
+      of the units (heaviest first; `reps=32 shard=i/N` spreads the 32
+      replications across the N shards) and requires out=DIR: the
+      shard writes a self-describing chunk (exact serialized unit
+      tables + "pimsim-chunk-v2" JSON sidecar with per-unit
+      fingerprints and metrics snapshots) plus an idempotent
+      manifest.json into DIR.  Rerunning a shard whose valid chunk
+      already exists is a no-op skip, so a killed sweep resumes from
+      its surviving chunks.  See docs/SWEEPS.md, docs/REPLICATION.md,
+      tools/pimsim_sweep_all.sh.
 
   pimsim merge <DIR> [out=PATH] [metrics=PATH]
       Validates and merges the chunks of a sharded sweep: every chunk
       sidecar must match DIR's manifest (grid fingerprint, planned
-      point set, per-point block fingerprints); missing, duplicate,
-      corrupted, and divergent chunks are reported, not merged.  Emits
-      the merged table byte-identical to the unsharded `pimsim sweep`
-      output — for replicated sweeps by refolding the per-rep
-      RunningStats from exact serialized cell bits, never re-parsed
-      floats — and with metrics=PATH refolds every shard's metrics
-      snapshots into the same dump the unsharded run would write.
+      unit set, per-unit fingerprints); missing, duplicate, corrupted,
+      and divergent chunks are reported, not merged.  The unit tables
+      go through the same fold-and-render step as the unsharded
+      `pimsim sweep` — replications refold from exact serialized cell
+      bits, never re-parsed floats — so the output is byte-identical
+      to it; with metrics=PATH every shard's metrics snapshots refold
+      into the same dump the unsharded run would write.
 
   pimsim verify <scenario>|all [strict=1] [audit=1]
       Re-checks golden figure outputs on the scenario's reduced verify
@@ -111,6 +108,16 @@ usage:
   pimsim help [scenario]
       This text, or one scenario's parameter documentation.
 )";
+
+/// Keys `pimsim run` consumes itself; the scenario must tolerate them.
+const std::vector<std::string> kRunDriverKeys = {
+    "format", "out", "audit", "trace", "metrics", "profile"};
+
+/// Keys `pimsim sweep` consumes itself: they belong on the command line,
+/// never in the config file, and never reach a sweep point.
+constexpr const char* kSweepDriverKeys[] = {"config", "jobs",    "format",
+                                            "out",    "metrics", "profile",
+                                            "shard"};
 
 void print_param_lines(std::ostream& os, const Scenario& s) {
   for (const ParamSpec& p : s.params) {
@@ -157,56 +164,6 @@ void print_list_json(std::ostream& os) {
   os << "  ]\n}\n";
 }
 
-void print_table_json(std::ostream& os, const Table& t) {
-  // Full round-trip precision: this is the machine-readable format, and
-  // the default 6 significant digits would silently round cycle counts.
-  const auto old_precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
-  os << "{\n  \"title\": \"" << json_escape(t.title()) << "\",\n"
-     << "  \"columns\": [";
-  for (std::size_t c = 0; c < t.columns().size(); ++c) {
-    os << (c ? ", " : "") << "\"" << json_escape(t.columns()[c]) << "\"";
-  }
-  os << "],\n  \"rows\": [\n";
-  for (std::size_t r = 0; r < t.rows(); ++r) {
-    os << "    [";
-    const auto& row = t.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ", ";
-      if (const auto* s = std::get_if<std::string>(&row[c])) {
-        os << "\"" << json_escape(*s) << "\"";
-      } else if (const auto* i = std::get_if<std::int64_t>(&row[c])) {
-        os << *i;
-      } else {
-        const double v = std::get<double>(row[c]);
-        if (std::isfinite(v)) {
-          os << v;
-        } else {
-          os << "null";  // JSON has no inf/nan
-        }
-      }
-    }
-    os << "]" << (r + 1 < t.rows() ? "," : "") << "\n";
-  }
-  os << "  ]\n}\n";
-  os.precision(old_precision);
-}
-
-/// Renders `table` as format ("text" | "csv" | "json") to `os`, matching
-/// bench::emit byte-for-byte for text/CSV (table + one blank line).
-void render(std::ostream& os, const Table& table, const std::string& format) {
-  if (format == "csv") {
-    table.print_csv(os);
-    os << "\n";
-  } else if (format == "json") {
-    print_table_json(os, table);
-  } else {
-    ensure(format == "text", "render: format not validated by format_of");
-    table.print(os);
-    os << "\n";
-  }
-}
-
 /// Opens `out=` if given; otherwise returns nullptr (use stdout).
 std::unique_ptr<std::ofstream> open_out(const Config& cfg) {
   const std::string path = cfg.get_string("out", "");
@@ -228,15 +185,7 @@ void preflight_out(const Config& cfg) {
 }
 
 std::string format_of(const Config& cfg) {
-  // csv=1 is a bench_* compatibility alias, honored only when format=
-  // is absent — an explicit format= always wins (and gets validated).
-  std::string format;
-  if (cfg.has("format")) {
-    format = cfg.get_string("format", "text");
-    (void)cfg.get_bool("csv", false);  // consume the alias key if present
-  } else {
-    format = cfg.get_bool("csv", false) ? "csv" : "text";
-  }
+  const std::string format = cfg.get_string("format", "text");
   // Validate up front, before a potentially long generation run.
   if (format != "text" && format != "csv" && format != "json") {
     throw InvalidArgument("pimsim: unknown format '" + format +
@@ -357,16 +306,14 @@ int cmd_run(const std::vector<std::string>& args) {
   if (!metrics_path.empty()) enable_metrics();
   if (profile) enable_profile();
   const auto start = std::chrono::steady_clock::now();
-  const Table table = run_scenario(
-      scenario, cfg,
-      {"csv", "format", "out", "audit", "trace", "metrics", "profile"});
+  const Table table = run_scenario(scenario, cfg, kRunDriverKeys);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
   // Opened only after a successful run: a failed run (typo'd key, bad
   // grid) must not truncate an existing results file.
   const auto out = open_out(cfg);
-  render(out ? *out : std::cout, table, format);
+  render_table(out ? *out : std::cout, table, format);
   if (audit) report_audit(std::cerr);
   if (!trace_path.empty()) write_trace_file(trace_path);
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
@@ -378,20 +325,14 @@ int cmd_run(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// One expanded sweep point: the full Config plus its axis assignment.
-struct SweepPoint {
-  Config cfg;
-  std::string assignment;  // "k=v k2=v2" of the swept axes only
-};
-
 /// Expands comma-separated values of *scalar* scenario parameters into a
 /// cartesian grid (list-typed parameters keep their commas).  Axes nest
 /// in `key_order` — declaration order: config file first, then CLI
-/// overrides — with the last-declared axis varying fastest.
+/// overrides — with the last-declared axis varying fastest.  Each
+/// point's own `threads` knob is pinned to 1 unless set explicitly.
 std::vector<SweepPoint> expand_grid(const Scenario& scenario,
                                     const Config& merged,
-                                    const std::vector<std::string>& key_order,
-                                    bool pin_inner_threads) {
+                                    const std::vector<std::string>& key_order) {
   struct Axis {
     std::string key;
     std::vector<std::string> values;
@@ -417,7 +358,7 @@ std::vector<SweepPoint> expand_grid(const Scenario& scenario,
   const bool has_threads = std::any_of(
       scenario.params.begin(), scenario.params.end(),
       [](const ParamSpec& p) { return p.key == "threads"; });
-  if (pin_inner_threads && has_threads && !base.has("threads") &&
+  if (has_threads && !base.has("threads") &&
       std::none_of(axes.begin(), axes.end(),
                    [](const Axis& a) { return a.key == "threads"; })) {
     base.set("threads", "1");  // outer pool owns the parallelism
@@ -443,126 +384,22 @@ std::vector<SweepPoint> expand_grid(const Scenario& scenario,
   return points;
 }
 
-/// One sweep point's output block, exactly as the unsharded sweep prints
-/// it: "# <scenario> <assignment>\n" + the rendered table.  Sharded
-/// chunks store these blocks verbatim, which is what makes the merged
-/// file byte-identical to an unsharded run.
-std::string render_block(const Scenario& scenario, const SweepPoint& point,
-                         const Table& table, const std::string& format) {
-  std::ostringstream os;
-  os << "# " << scenario.name
-     << (point.assignment.empty() ? "" : " " + point.assignment) << "\n";
-  render(os, table, format);
-  return os.str();
-}
-
-/// Grid identity + deterministic shard plan for a sharded sweep.  The
-/// fingerprint canonicalizes everything that decides the merged bytes
-/// (scenario, format, merged parameters, per-point assignments) but NOT
-/// the shard count, so chunks from different N-way partitions of the
-/// same grid are recognized as the same sweep by fingerprint even
-/// though the manifest pins one N.
-GridSpec build_grid(const Scenario& scenario, const Config& merged,
-                    const std::vector<std::string>& key_order,
-                    const std::vector<SweepPoint>& points,
-                    const ShardSpec& shard, const std::string& format) {
-  GridSpec grid;
-  grid.scenario = scenario.name;
-  grid.format = format;
-  grid.shards = shard.count;
-
-  std::string canonical = "pimsim-grid-v1\n" + scenario.name + "\n" + format + "\n";
-  for (const std::string& key : key_order) {
-    canonical += key + "=" + merged.get_string(key, "") + "\n";
-  }
-  grid.assignments.reserve(points.size());
-  std::vector<double> weights;
-  weights.reserve(points.size());
-  std::vector<std::size_t> reps(points.size(), 1);
-  bool replicated = false;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const SweepPoint& point = points[i];
-    grid.assignments.push_back(point.assignment);
-    canonical += point.assignment + "\n";
-    // In a replicated grid the shard plan assigns (point, rep) units, so
-    // weigh one replication (reps=1) — the rep axis multiplies units,
-    // not per-unit cost.
-    const ReplicationSpec rspec = replication_spec(scenario, point.cfg);
-    reps[i] = rspec.reps;
-    replicated = replicated || rspec.reps > 1;
-    Config probe = point.cfg;
-    if (rspec.declared) probe.set("reps", "1");
-    double w = 1.0;
-    if (scenario.cost_hint) {
-      try {
-        w = scenario.cost_hint(probe);
-      } catch (const std::exception&) {
-        w = 1.0;  // a hint must never be able to fail a sweep
-      }
-    }
-    weights.push_back(w);
-  }
-  grid.grid_fingerprint = data_fingerprint(canonical);
-  if (replicated) {
-    grid.replicated = true;
-    grid.point_reps = reps;
-    std::vector<double> unit_weights;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      for (std::size_t r = 0; r < reps[i]; ++r) {
-        grid.unit_point.push_back(i);
-        grid.unit_rep.push_back(r);
-        unit_weights.push_back(weights[i]);
-      }
-    }
-    grid.unit_shard = plan_shards(unit_weights, shard.count);
-    // Per-point shard_of (the manifest's informational field) is where
-    // the point's first replication landed.
-    grid.shard_of.assign(points.size(), 0);
-    for (std::size_t u = 0; u < grid.unit_point.size(); ++u) {
-      if (grid.unit_rep[u] == 0) {
-        grid.shard_of[grid.unit_point[u]] = grid.unit_shard[u];
-      }
-    }
-  } else {
-    grid.shard_of = plan_shards(weights, shard.count);
-  }
-  return grid;
-}
-
-/// `pimsim sweep ... shard=i/N out=DIR`: computes shard i's points and
-/// writes the chunk, or skips when a valid chunk already exists (resume).
+/// `pimsim sweep ... shard=i/N out=DIR`: runs shard i's units and writes
+/// the chunk, or skips when a valid chunk already exists (resume).
 int run_shard(const Scenario& scenario, const Config& cli,
-              const Config& merged, const std::vector<std::string>& key_order,
-              const std::vector<SweepPoint>& points, const ShardSpec& shard,
-              std::size_t jobs, const std::string& format,
+              const std::vector<SweepPoint>& points, const GridSpec& grid,
+              std::size_t shard, std::size_t jobs,
               const std::string& metrics_path, bool profile) {
   const std::string dir = cli.get_string("out", "");
   require(!dir.empty(),
           "pimsim sweep: shard=i/N requires out=DIR (the chunk directory "
           "shared by every shard of the sweep)");
-  const GridSpec grid = build_grid(scenario, merged, key_order, points, shard, format);
   write_or_check_manifest(dir, grid);
-
-  if (chunk_complete(dir, grid, shard.index)) {
-    std::cerr << "# shard " << shard.index << "/" << shard.count
+  if (chunk_complete(dir, grid, shard)) {
+    std::cerr << "# shard " << shard << "/" << grid.shards
               << ": valid chunk already in '" << dir
               << "', skipping (delete its files to recompute)\n";
     return 0;
-  }
-
-  // In a replicated grid the work list is (point, rep) units and each
-  // unit's chunk payload is the exact serialization of its single-rep
-  // table ("pimsim-rep-v1"); merge refolds them bit-for-bit.  A plain
-  // grid keeps the rendered-block payloads.
-  std::vector<std::size_t> mine;
-  if (grid.replicated) {
-    for (std::size_t u = 0; u < grid.unit_point.size(); ++u) {
-      if (grid.unit_shard[u] == shard.index) mine.push_back(u);
-    }
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (grid.shard_of[i] == shard.index) mine.push_back(i);
-    }
   }
 
   // Metrics are always collected in shard mode: the sidecar carries the
@@ -570,58 +407,23 @@ int run_shard(const Scenario& scenario, const Config& cli,
   // as the unsharded run would have.
   enable_metrics();
   if (profile) enable_profile();
+  const std::vector<std::size_t> mine = units_of_shard(grid, shard);
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<Table>> tables(mine.size());
   SweepRunner runner(jobs);
-  runner.for_each(mine.size(), [&](std::size_t i) {
-    if (grid.replicated) {
-      const std::size_t point = grid.unit_point[mine[i]];
-      const std::size_t rep = grid.unit_rep[mine[i]];
-      // Single-rep points run the reps=1 bypass (raw seed), exactly as
-      // the unsharded sweep does; multi-rep points run one derived-seed
-      // replication per unit.
-      tables[i] = std::make_unique<Table>(
-          grid.point_reps[point] == 1
-              ? run_scenario(scenario, points[point].cfg,
-                             {"csv", "format", "out"})
-              : run_replication(scenario, points[point].cfg, rep,
-                                {"csv", "format", "out"}));
-    } else {
-      tables[i] = std::make_unique<Table>(run_scenario(
-          scenario, points[mine[i]].cfg, {"csv", "format", "out"}));
-    }
-  });
+  const std::vector<Table> tables =
+      run_units(scenario, points, grid, mine, runner);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-
-  std::vector<ChunkPoint> chunk_points;
-  chunk_points.reserve(mine.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    ChunkPoint p;
-    if (grid.replicated) {
-      p.point = grid.unit_point[mine[i]];
-      p.rep = grid.unit_rep[mine[i]];
-      p.block = serialize_table(*tables[i]);
-    } else {
-      p.point = mine[i];
-      p.block = render_block(scenario, points[p.point], *tables[i], format);
-    }
-    p.assignment = points[p.point].assignment;
-    p.fingerprint = data_fingerprint(p.block);
-    chunk_points.push_back(std::move(p));
-  }
-  write_chunk(dir, grid, shard.index, chunk_points,
+  write_chunk(dir, grid, shard, tables,
               obs::MetricsHub::global().snapshot_bytes(), elapsed);
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
   if (profile) report_profile(std::cerr);
-  std::cerr << "# shard " << shard.index << "/" << shard.count << ": swept "
-            << mine.size() << " of "
-            << (grid.replicated ? grid.unit_point.size() : points.size())
-            << " " << (grid.replicated ? "unit(s)" : "point(s)") << " on "
-            << runner.threads() << " thread(s) in " << elapsed << " s -> "
-            << dir << "/" << chunk_basename(shard.index, shard.count)
-            << ".{csv,json}\n";
+  std::cerr << "# shard " << shard << "/" << grid.shards << ": swept "
+            << mine.size() << " of " << grid.unit_point.size()
+            << " unit(s) on " << runner.threads() << " thread(s) in "
+            << elapsed << " s -> " << dir << "/"
+            << chunk_basename(shard, grid.shards) << ".{csv,json}\n";
   return 0;
 }
 
@@ -645,8 +447,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
   Config merged = Config::from_string(text);
   // Driver keys in the file would be silently shadowed by the CLI's
   // (format) or mistaken for scenario parameters (jobs) — reject loudly.
-  for (const char* driver : {"config", "jobs", "format", "out", "csv",
-                             "metrics", "profile", "shard"}) {
+  for (const char* driver : kSweepDriverKeys) {
     require(!merged.has(driver),
             std::string("pimsim sweep: driver key '") + driver +
                 "' belongs on the command line, not in config file '" +
@@ -675,9 +476,8 @@ int cmd_sweep(const std::vector<std::string>& args) {
     const auto eq = token.find('=');
     if (eq == std::string::npos) continue;
     const std::string key = token.substr(0, eq);
-    if (key == "config" || key == "jobs" || key == "format" || key == "out" ||
-        key == "csv" || key == "metrics" || key == "profile" ||
-        key == "shard") {
+    if (std::find(std::begin(kSweepDriverKeys), std::end(kSweepDriverKeys),
+                  key) != std::end(kSweepDriverKeys)) {
       continue;
     }
     merged.set(key, cli.get_string(key, ""));
@@ -689,40 +489,38 @@ int cmd_sweep(const std::vector<std::string>& args) {
   const std::string metrics_path = cli.get_string("metrics", "");
   const bool profile = cli.get_bool("profile", false);
   const std::string shard_text = cli.get_string("shard", "");
+  const ShardSpec shard =
+      shard_text.empty() ? ShardSpec{} : parse_shard(shard_text);
   if (shard_text.empty()) preflight_out(cli);  // sharded: out= is a directory
 
   const std::vector<SweepPoint> points =
-      expand_grid(scenario, merged, key_order, /*pin_inner_threads=*/true);
+      expand_grid(scenario, merged, key_order);
   require(!points.empty(), "pimsim sweep: empty parameter grid");
+  const GridSpec grid =
+      plan_grid(scenario, merged, key_order, points, shard.count, format);
 
   if (!shard_text.empty()) {
-    return run_shard(scenario, cli, merged, key_order, points,
-                     parse_shard(shard_text), jobs, format, metrics_path,
-                     profile);
+    return run_shard(scenario, cli, points, grid, shard.index, jobs,
+                     metrics_path, profile);
   }
 
-  // Aggregation across sweep points is deterministic regardless of
-  // jobs=N: the hub folds snapshots in content order, not arrival order.
+  // Aggregation across units is deterministic regardless of jobs=N: the
+  // hub folds snapshots in content order, not arrival order.
   if (!metrics_path.empty()) enable_metrics();
   if (profile) enable_profile();
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<Table>> tables(points.size());
   SweepRunner runner(jobs);
-  runner.for_each(points.size(), [&](std::size_t i) {
-    tables[i] = std::make_unique<Table>(
-        run_scenario(scenario, points[i].cfg, {"csv", "format", "out"}));
-  });
+  std::vector<Table> tables =
+      run_units(scenario, points, grid, units_of_shard(grid, 0), runner);
   const double elapsed = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
 
-  // Opened only after the whole grid ran: a failing point must not
+  // Opened only after the whole grid ran: a failing unit must not
   // truncate an existing results file.
   const auto out = open_out(cli);
-  std::ostream& os = out ? *out : std::cout;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    os << render_block(scenario, points[i], *tables[i], format);
-  }
+  render_grid(out ? *out : std::cout, grid,
+              [&tables](std::size_t unit) { return std::move(tables[unit]); });
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
   if (profile) report_profile(std::cerr);
   std::cerr << "# swept " << points.size() << " point(s) on "
@@ -740,82 +538,20 @@ int cmd_merge(const std::vector<std::string>& args) {
   (void)cfg.get_string("out", "");
   cfg.reject_unused();
 
-  const GridSpec grid = read_manifest(dir);
-  const std::vector<std::size_t> present = chunks_present(dir, grid);
-  std::vector<bool> have(grid.shards, false);
-  for (const std::size_t id : present) {
-    require(!have[id], "pimsim merge: duplicate chunk sidecar for shard " +
-                           std::to_string(id) + " in '" + dir + "'");
-    have[id] = true;
-  }
-  std::string missing;
-  for (std::size_t s = 0; s < grid.shards; ++s) {
-    if (!have[s]) missing += (missing.empty() ? "" : ", ") + std::to_string(s);
-  }
-  if (!missing.empty()) {
-    throw InvalidArgument(
-        "pimsim merge: '" + dir + "' is missing chunk(s) for shard(s) " +
-        missing + " of " + std::to_string(grid.shards) +
-        "; rerun `pimsim sweep " + grid.scenario +
-        " ... shard=<i>/" + std::to_string(grid.shards) + " out=" + dir + "`");
-  }
-
-  // Every chunk validates against the manifest (read_chunk checks the
-  // grid fingerprint, the planned point/unit set, and every block's
-  // recorded fingerprint), so after this loop `blocks` holds the full
-  // grid — rendered blocks per point, or serialized tables per
-  // (point, rep) unit of a replicated grid.
   if (!metrics_path.empty()) obs::MetricsHub::global().reset();
-  std::vector<std::size_t> unit_offset(grid.assignments.size(), 0);
-  if (grid.replicated) {
-    std::size_t offset = 0;
-    for (std::size_t i = 0; i < grid.assignments.size(); ++i) {
-      unit_offset[i] = offset;
-      offset += grid.point_reps[i];
-    }
-  }
-  std::vector<std::string> blocks(
-      grid.replicated ? grid.unit_point.size() : grid.assignments.size());
-  double shard_wall = 0.0;
-  for (std::size_t s = 0; s < grid.shards; ++s) {
-    const ChunkData data = read_chunk(dir, grid, s);
-    shard_wall += data.wall_seconds;
-    for (const ChunkPoint& p : data.points) {
-      blocks[grid.replicated ? unit_offset[p.point] + p.rep : p.point] =
-          p.block;
-    }
-    if (!metrics_path.empty()) {
-      for (const std::string& snapshot : data.metrics) {
-        obs::MetricsHub::global().absorb_bytes(snapshot);
-      }
-    }
-  }
-
+  const ChunkedSweep sweep =
+      read_chunked_sweep(dir, [&](const std::string& snapshot) {
+        if (!metrics_path.empty()) {
+          obs::MetricsHub::global().absorb_bytes(snapshot);
+        }
+      });
   const auto out = open_out(cfg);
-  std::ostream& os = out ? *out : std::cout;
-  if (grid.replicated) {
-    // Refold each point's replications from the exact serialized cell
-    // bits — raw RunningStats moments, never re-parsed rendered floats —
-    // then render once, reproducing the unsharded fold byte for byte.
-    for (std::size_t i = 0; i < grid.assignments.size(); ++i) {
-      std::vector<Table> reps;
-      reps.reserve(grid.point_reps[i]);
-      for (std::size_t r = 0; r < grid.point_reps[i]; ++r) {
-        reps.push_back(deserialize_table(blocks[unit_offset[i] + r]));
-      }
-      const Table folded = fold_replications(reps);
-      os << "# " << grid.scenario
-         << (grid.assignments[i].empty() ? "" : " " + grid.assignments[i])
-         << "\n";
-      render(os, folded, grid.format);
-    }
-  } else {
-    for (const std::string& block : blocks) os << block;
-  }
+  render_grid(out ? *out : std::cout, sweep.grid,
+              [&sweep](std::size_t unit) { return sweep.table(unit); });
   if (!metrics_path.empty()) write_metrics_file(metrics_path);
-  std::cerr << "# merged " << grid.shards << " chunk(s), "
-            << grid.assignments.size() << " point(s), shard wall time "
-            << shard_wall << " s\n";
+  std::cerr << "# merged " << sweep.grid.shards << " chunk(s), "
+            << sweep.grid.assignments.size() << " point(s), shard wall time "
+            << sweep.shard_wall_seconds << " s\n";
   return 0;
 }
 

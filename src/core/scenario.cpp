@@ -221,8 +221,19 @@ ReplicationSpec replication_spec(const Scenario& scenario, const Config& cfg) {
   }
   if (reps_param == nullptr) return spec;
   spec.declared = true;
+  // The sweep plans its units from this before any point runs, so
+  // unparsable text gets the scenario-named message here too.
+  const auto get_int = [&](const char* key, std::int64_t fallback) {
+    try {
+      return cfg.get_int(key, fallback);
+    } catch (const ConfigError& e) {
+      throw InvalidArgument("scenario '" + scenario.name +
+                            "': bad value for '" + key +
+                            "' (expected int): " + e.what());
+    }
+  };
   const std::int64_t reps =
-      cfg.get_int("reps", std::stoll(reps_param->default_value));
+      get_int("reps", std::stoll(reps_param->default_value));
   if (reps < 1) {
     throw InvalidArgument(
         "scenario '" + scenario.name + "': bad value for 'reps' (" +
@@ -231,8 +242,7 @@ ReplicationSpec replication_spec(const Scenario& scenario, const Config& cfg) {
   spec.reps = static_cast<std::size_t>(reps);
   const std::int64_t seed_default =
       seed_param == nullptr ? 0 : std::stoll(seed_param->default_value);
-  spec.base_seed =
-      static_cast<std::uint64_t>(cfg.get_int("seed", seed_default));
+  spec.base_seed = static_cast<std::uint64_t>(get_int("seed", seed_default));
   return spec;
 }
 
@@ -282,10 +292,9 @@ std::uint64_t table_fingerprint(const Table& table) {
 
 // --- built-in scenarios ---------------------------------------------------
 //
-// Each registration is the former bench_* main body, verbatim: the bench
-// binaries now route through these (bench::run_scenario_main), so their
-// output is bitwise-identical to the pre-registry binaries by
-// construction, and `pimsim run <name>` matches both.
+// Each registration is the former per-figure bench binary's main body,
+// verbatim, so `pimsim run <name>` is bitwise-identical to the
+// pre-registry binaries by construction.
 
 namespace {
 

@@ -4,10 +4,9 @@
 // itself as a named Scenario with typed, self-describing parameters
 // (name, default, range, doc string) and a generator returning the
 // common::Table it plots.  The `pimsim` CLI (src/core/cli.hpp) drives the
-// registry — list / run / sweep / verify — and the bench_* binaries are
-// thin wrappers over the same registrations (bench::run_scenario_main),
-// so a new workload or topology study is ~30 lines of registration
-// instead of a new build target.
+// registry — list / run / sweep / merge / verify — so a new workload or
+// topology study is ~30 lines of registration instead of a new build
+// target.
 #pragma once
 
 #include <cstdint>
@@ -87,7 +86,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry);
 /// Validates `cfg` against the scenario's declared parameters and runs
 /// it.  Unknown keys and values that fail to parse as the declared type
 /// both throw InvalidArgument whose message lists the valid keys.
-/// `extra_allowed` names driver keys (csv=, format=, out=) the caller
+/// `extra_allowed` names driver keys (format=, out=, ...) the caller
 /// consumes itself and the scenario must tolerate.
 [[nodiscard]] Table run_scenario(const Scenario& scenario, const Config& cfg,
                                  const std::vector<std::string>& extra_allowed = {});
@@ -114,9 +113,8 @@ struct ReplicationSpec {
 };
 
 /// Reads the replication request out of `cfg` using the scenario's
-/// declared defaults; throws InvalidArgument naming the valid range when
-/// reps < 1 (the typed pre-parse in run_scenario already rejects
-/// non-integer text).
+/// declared defaults; throws InvalidArgument naming the scenario when
+/// reps or seed is not an integer, or the valid range when reps < 1.
 [[nodiscard]] ReplicationSpec replication_spec(const Scenario& scenario,
                                                const Config& cfg);
 

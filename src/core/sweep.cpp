@@ -52,19 +52,19 @@ std::vector<std::size_t> plan_shards(const std::vector<double>& weights,
     return weights[a] > weights[b];
   });
   std::vector<double> load(shards, 0.0);
-  std::vector<std::size_t> shard_of(weights.size(), 0);
+  std::vector<std::size_t> plan(weights.size(), 0);
   for (const std::size_t point : order) {
     std::size_t lightest = 0;
     for (std::size_t s = 1; s < shards; ++s) {
       if (load[s] < load[lightest]) lightest = s;
     }
-    shard_of[point] = lightest;
+    plan[point] = lightest;
     // Zero/negative/non-finite weights still advance the bin so equal
     // weights round-robin instead of piling onto shard 0.
     const double w = weights[point];
     load[lightest] += (std::isfinite(w) && w > 0.0) ? w : 1.0;
   }
-  return shard_of;
+  return plan;
 }
 
 // One parallel index loop.  Heap-allocated and shared with every queued

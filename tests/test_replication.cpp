@@ -139,6 +139,19 @@ TEST(ReplicationFold, BadRepsValuesAreRejectedAtParseTime) {
     EXPECT_NE(what.find("expected int"), std::string::npos) << what;
     EXPECT_NE(what.find(">= 1"), std::string::npos) << what;
   }
+  // The sweep plans its (point, rep) units with replication_spec before
+  // any point runs, so it must name the scenario and key on its own.
+  const Scenario& fig5 = ScenarioRegistry::global().get("fig5");
+  for (const char* bad : {"reps=2.5", "seed=x"}) {
+    try {
+      (void)replication_spec(fig5, Config::from_string(bad));
+      FAIL() << "expected InvalidArgument for " << bad;
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("scenario 'fig5'"), std::string::npos) << what;
+      EXPECT_NE(what.find("expected int"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(ReplicationFold, RunReplicationReproducesTheInProcessFold) {
@@ -324,9 +337,9 @@ TEST_F(ReplicatedShardEndToEnd, MergeIsByteIdenticalForAnyShardCount) {
     EXPECT_EQ(slurp(root_ / "merged.csv"), unsharded_) << "N=" << n;
     EXPECT_EQ(slurp(root_ / "merged_metrics.json"), metrics_ref) << "N=" << n;
   }
-  // The manifest records the replication axis explicitly.
+  // The manifest records each point's reps and the (point, rep) units.
   const std::string manifest = slurp(root_ / "chunks2" / "manifest.json");
-  EXPECT_NE(manifest.find("\"replicated\": true"), std::string::npos);
+  EXPECT_NE(manifest.find("\"reps\": 4"), std::string::npos);
   EXPECT_NE(manifest.find("\"units\""), std::string::npos);
   EXPECT_NE(manifest.find("\"total_units\": 5"), std::string::npos)
       << "reps=1,4 axis = 1 + 4 units (banks is list-typed, not an axis)";

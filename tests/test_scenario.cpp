@@ -109,15 +109,15 @@ TEST(RunScenario, TypedParseErrorIsInvalidArgumentListingValidKeys) {
 }
 
 TEST(RunScenario, ExtraAllowedKeysAreTolerated) {
-  const Config cfg = Config::from_string("csv=1");
+  const Config cfg = Config::from_string("format=csv");
   EXPECT_THROW((void)run_scenario("table1", cfg), InvalidArgument);
-  const Table t = run_scenario("table1", cfg, {"csv"});
+  const Table t = run_scenario("table1", cfg, {"format"});
   EXPECT_EQ(t.rows(), 13u);
 }
 
 TEST(RunScenario, Fig5MatchesDirectGeneratorBitwiseAtAnySweepThreads) {
-  // The same reduced grid, once through the registry (as pimsim run and
-  // the bench_fig5 wrapper do) and once through make_fig5 directly.
+  // The same reduced grid, once through the registry (as pimsim run
+  // does) and once through make_fig5 directly.
   HostFigureConfig direct = HostFigureConfig::defaults_fig5();
   direct.node_counts = pow2_range(8);
   direct.base.workload.total_ops = 200'000;

@@ -1,13 +1,15 @@
 // Sharded sweep fabric tests: the shard planner (disjoint cover,
 // heaviest-first balance, determinism), shard= parsing, and the
 // end-to-end chunk contract through the real CLI — merge of N shards is
-// byte-identical to the unsharded sweep (CSV and metrics) for
-// N in {1, 2, 4}, a complete chunk is a no-op skip on rerun, and
-// corrupted / foreign / missing chunks are detected, not merged.
+// byte-identical to the unsharded sweep (text, CSV and JSON, plus
+// metrics) for N in {1, 2, 4}, a complete chunk is a no-op skip on
+// rerun, and corrupted / foreign / missing / old-schema chunks and
+// non-integer count fields are detected, not merged.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -100,6 +102,15 @@ int run_cli(std::vector<std::string> args) {
   return cli_main(static_cast<int>(argv.size()), argv.data());
 }
 
+/// Runs the CLI and returns what it printed on stderr.
+std::string run_cli_stderr(std::vector<std::string> args, int* rc) {
+  std::ostringstream err;
+  std::streambuf* const old = std::cerr.rdbuf(err.rdbuf());
+  *rc = run_cli(std::move(args));
+  std::cerr.rdbuf(old);
+  return err.str();
+}
+
 std::string slurp(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;
@@ -108,21 +119,22 @@ std::string slurp(const fs::path& path) {
   return os.str();
 }
 
+void spit(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(out.good()) << path;
+  out << text;
+}
+
 /// Fixture owning a per-process scratch dir under the system temp dir
-/// with a small 4-point memory_contention grid.
+/// with a small 2-point memory_contention grid (seed axis; banks is
+/// list-typed, not an axis).
 class ShardEndToEnd : public ::testing::Test {
  protected:
   void SetUp() override {
     fs::remove_all(root_);
     fs::create_directories(root_);
-    std::ofstream cfg(root_ / "grid.cfg");
-    cfg << "ops=20000\nnodes=2\nbanks=1,2\nseed=3,5\n";  // 2x2 grid
-    cfg.close();
-    ASSERT_EQ(run_cli({"sweep", "memory_contention", config(), "format=csv",
-                       "out=" + (root_ / "unsharded.csv").string(),
-                       "metrics=" + (root_ / "unsharded_metrics.json").string()}),
-              0);
-    unsharded_ = slurp(root_ / "unsharded.csv");
+    spit(root_ / "grid.cfg", "ops=20000\nnodes=2\nbanks=1,2\nseed=3,5\n");
+    unsharded_ = unsharded("csv", "unsharded_metrics.json");
     ASSERT_FALSE(unsharded_.empty());
   }
 
@@ -130,8 +142,19 @@ class ShardEndToEnd : public ::testing::Test {
     return "config=" + (root_ / "grid.cfg").string();
   }
 
-  int run_shard(std::size_t i, std::size_t n, const std::string& dir) {
-    return run_cli({"sweep", "memory_contention", config(), "format=csv",
+  /// The unsharded sweep's output in `format`; its metrics go to `metrics`.
+  std::string unsharded(const std::string& format, const std::string& metrics) {
+    const fs::path out = root_ / ("unsharded." + format);
+    EXPECT_EQ(run_cli({"sweep", "memory_contention", config(),
+                       "format=" + format, "out=" + out.string(),
+                       "metrics=" + (root_ / metrics).string()}),
+              0);
+    return slurp(out);
+  }
+
+  int run_shard(std::size_t i, std::size_t n, const std::string& dir,
+                const std::string& format = "csv") {
+    return run_cli({"sweep", "memory_contention", config(), "format=" + format,
                     "shard=" + std::to_string(i) + "/" + std::to_string(n),
                     "out=" + (root_ / dir).string()});
   }
@@ -154,15 +177,22 @@ class ShardEndToEnd : public ::testing::Test {
 };
 
 TEST_F(ShardEndToEnd, MergeIsByteIdenticalToUnshardedForAnyShardCount) {
-  const std::string metrics_ref = slurp(root_ / "unsharded_metrics.json");
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    const std::string dir = "chunks" + std::to_string(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(run_shard(i, n, dir), 0) << "shard " << i << "/" << n;
+  // Merge renders what the unsharded sweep renders, in every format.
+  for (const std::string format : {"text", "csv", "json"}) {
+    const std::string ref = unsharded(format, "ref_metrics.json");
+    const std::string metrics_ref = slurp(root_ / "ref_metrics.json");
+    for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      const std::string dir = format + "_chunks" + std::to_string(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(run_shard(i, n, dir, format), 0)
+            << format << " shard " << i << "/" << n;
+      }
+      ASSERT_EQ(merge(dir, "merged", "merged_metrics.json"), 0)
+          << format << " N=" << n;
+      EXPECT_EQ(slurp(root_ / "merged"), ref) << format << " N=" << n;
+      EXPECT_EQ(slurp(root_ / "merged_metrics.json"), metrics_ref)
+          << format << " N=" << n;
     }
-    ASSERT_EQ(merge(dir, "merged.csv", "merged_metrics.json"), 0) << n;
-    EXPECT_EQ(slurp(root_ / "merged.csv"), unsharded_) << "N=" << n;
-    EXPECT_EQ(slurp(root_ / "merged_metrics.json"), metrics_ref) << "N=" << n;
   }
 }
 
@@ -223,6 +253,152 @@ TEST_F(ShardEndToEnd, DifferentGridIntoSameDirIsRejected) {
             0);
   // Different shard count is a different manifest too.
   EXPECT_NE(run_shard(0, 3, "chunks"), 0);
+}
+
+/// Replaces the first `from` in `text` with `to` (which must be present).
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST_F(ShardEndToEnd, NonIntegerManifestCountIsRejectedNamingFileAndField) {
+  ASSERT_EQ(run_shard(0, 2, "chunks"), 0);
+  ASSERT_EQ(run_shard(1, 2, "chunks"), 0);
+  const fs::path manifest = root_ / "chunks" / "manifest.json";
+  const std::string original = slurp(manifest);
+  for (const std::string bad :
+       {"2.9", "2e0", "-2", "+2", "\"2\"", "18446744073709551618"}) {
+    spit(manifest, replace_first(original, "\"shards\": 2,",
+                                 "\"shards\": " + bad + ","));
+    int rc = 0;
+    const std::string err = run_cli_stderr(
+        {"merge", (root_ / "chunks").string(),
+         "out=" + (root_ / "merged.csv").string()},
+        &rc);
+    EXPECT_NE(rc, 0) << bad;
+    EXPECT_NE(err.find("manifest.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("\"shards\" is not a non-negative integer"),
+              std::string::npos)
+        << err;
+  }
+  spit(manifest, original);
+  ASSERT_EQ(merge("chunks", "merged.csv"), 0);
+  EXPECT_EQ(slurp(root_ / "merged.csv"), unsharded_);
+}
+
+TEST_F(ShardEndToEnd, NonIntegerChunkBytesIsInvalidAndRecomputedOnResume) {
+  ASSERT_EQ(run_shard(0, 2, "chunks"), 0);
+  ASSERT_EQ(run_shard(1, 2, "chunks"), 0);
+  const fs::path sidecar = root_ / "chunks" / "chunk-1-of-2.json";
+  const std::string original = slurp(sidecar);
+  const std::size_t at = original.find("\"bytes\": ");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t digits_end =
+      original.find_first_not_of("0123456789", at + 9);
+  // A fraction, an exponent, and a value past 2^64.
+  for (const std::string suffix : {".7", "e0", "00000000000000000000"}) {
+    std::string tampered = original;
+    tampered.insert(digits_end, suffix);
+    spit(sidecar, tampered);
+    int rc = 0;
+    const std::string err = run_cli_stderr(
+        {"merge", (root_ / "chunks").string(),
+         "out=" + (root_ / "merged.csv").string()},
+        &rc);
+    EXPECT_NE(rc, 0) << suffix;
+    EXPECT_NE(err.find("chunk-1-of-2.json"), std::string::npos) << err;
+    EXPECT_NE(err.find("\"bytes\" is not a non-negative integer"),
+              std::string::npos)
+        << err;
+
+    // Resume treats the chunk as invalid and recomputes it.
+    const std::string resume = run_cli_stderr(
+        {"sweep", "memory_contention", config(), "format=csv", "shard=1/2",
+         "out=" + (root_ / "chunks").string()},
+        &rc);
+    EXPECT_EQ(rc, 0) << resume;
+    EXPECT_EQ(resume.find("skipping"), std::string::npos) << resume;
+    EXPECT_NE(run_cli_stderr({"sweep", "memory_contention", config(),
+                              "format=csv", "shard=1/2",
+                              "out=" + (root_ / "chunks").string()},
+                             &rc)
+                  .find("skipping"),
+              std::string::npos);  // the recomputed chunk is a cache hit
+    ASSERT_EQ(merge("chunks", "merged.csv"), 0) << suffix;
+    EXPECT_EQ(slurp(root_ / "merged.csv"), unsharded_) << suffix;
+  }
+}
+
+// A chunk directory as written before the unit model: one rendered block
+// per point and a per-point shard plan.
+constexpr const char* kV1Manifest = R"({
+  "schema": "pimsim-manifest-v1",
+  "scenario": "memory_contention",
+  "format": "csv",
+  "shards": 1,
+  "total_points": 2,
+  "grid_fingerprint": "0xddba05e65cbb930e",
+  "points": [
+    {"point": 0, "shard": 0, "assignment": "seed=3"},
+    {"point": 1, "shard": 0, "assignment": "seed=5"}
+  ]
+}
+)";
+constexpr const char* kV1Sidecar = R"({
+  "schema": "pimsim-chunk-v1",
+  "scenario": "memory_contention",
+  "format": "csv",
+  "shard": 0,
+  "shards": 1,
+  "grid_fingerprint": "0xddba05e65cbb930e",
+  "wall_seconds": 0.0056438060000000003,
+  "points": [
+    {"point": 0, "assignment": "seed=3", "bytes": 209, "fingerprint": "0x15480e414672f3ee"},
+    {"point": 1, "assignment": "seed=5", "bytes": 209, "fingerprint": "0xfb059d86affe9c64"}
+  ],
+  "metrics": []
+}
+)";
+constexpr const char* kV1Blocks =
+    "# memory_contention seed=3\n"
+    "# Banked-memory contention (100% LWP work, 2 LWPs, queue = per-bank)\n"
+    "Banks,makespan (cycles),vs analytic,row-hit %,accesses\n"
+    "1,184415,1.4521,6.4398,5994\n"
+    "2,126250,0.9941,87.4708,5994\n"
+    "\n"
+    "# memory_contention seed=5\n"
+    "# Banked-memory contention (100% LWP work, 2 LWPs, queue = per-bank)\n"
+    "Banks,makespan (cycles),vs analytic,row-hit %,accesses\n"
+    "1,184660,1.4859,5.9575,6026\n"
+    "2,126075,1.0145,87.4544,6026\n"
+    "\n";
+
+TEST_F(ShardEndToEnd, V1ChunkDirectoryIsRejectedByMergeAndResume) {
+  const fs::path dir = root_ / "v1";
+  fs::create_directories(dir);
+  spit(dir / "manifest.json", kV1Manifest);
+  spit(dir / "chunk-0-of-1.json", kV1Sidecar);
+  spit(dir / "chunk-0-of-1.csv", kV1Blocks);
+
+  int rc = 0;
+  std::string err = run_cli_stderr(
+      {"merge", dir.string(), "out=" + (root_ / "merged.csv").string()}, &rc);
+  EXPECT_NE(rc, 0);
+  EXPECT_NE(err.find("unknown schema"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(root_ / "merged.csv"));
+
+  err = run_cli_stderr({"sweep", "memory_contention", config(), "format=csv",
+                        "shard=0/1", "out=" + dir.string()},
+                       &rc);
+  EXPECT_NE(rc, 0);
+  EXPECT_NE(err.find("different sweep"), std::string::npos) << err;
+  // Nothing of the old sweep is overwritten or reused.
+  EXPECT_EQ(slurp(dir / "manifest.json"), kV1Manifest);
+  EXPECT_EQ(slurp(dir / "chunk-0-of-1.json"), kV1Sidecar);
+  EXPECT_EQ(slurp(dir / "chunk-0-of-1.csv"), kV1Blocks);
 }
 
 TEST_F(ShardEndToEnd, ShardWithoutOutDirAndBadDirAreRejected) {
