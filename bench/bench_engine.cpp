@@ -1,13 +1,18 @@
 // Event-kernel microbenchmark: dispatch throughput in events per second.
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
-// always build it.  Seven workloads stress the kernel paths the rest of
+// always build it.  Eight workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
 //   dispatch    N one-shot callbacks pre-loaded into the calendar
 //   delayloop   a coroutine hopping through co_await delay(1.0)
-//   fracdelay   64 coroutines hopping through non-integral delays, so
-//               every wake-up takes the heap, not the timing wheel
+//   fracdelay   64 coroutines hopping through non-integral delays: every
+//               wake-up lands mid-cycle in the wheel's quarter-cycle
+//               buckets (before the wheel took them, it took the heap)
+//   keyed       64 network-style links: each hop reserves a seq with
+//               allocate_seq (the enqueue) and materializes an older
+//               reservation with schedule_static_at_seq at a fractional
+//               time, so wheel inserts land at a bucket's head or middle
 //   pingpong    two coroutines volleying through a pair of mailboxes
 //   timerwheel  W self-rescheduling timers with staggered periods
 //   cancelheavy timeout pattern: every op arms a far-future timeout and
@@ -22,6 +27,7 @@
 // Usage: bench_engine [events=200000] [reps=5] [csv=1]
 //                     [json=BENCH_engine.json]   (json=- disables)
 //                     [floors=bench/baselines.json]  (perf guard)
+#include <array>
 #include <chrono>
 #include <iostream>
 #include <optional>
@@ -107,12 +113,12 @@ Sample run_delayloop(std::uint64_t events) {
       [&](des::Simulation& sim) { sim.spawn(delay_loop(sim, events)); });
 }
 
-// --- fracdelay: coroutines on the heap path ----------------------------
+// --- fracdelay: coroutines at non-integral times ------------------------
 
 des::Process frac_loop(des::Simulation& sim, double period,
                        std::uint64_t hops) {
   // Starting at a quarter cycle and hopping by n + 0.5 keeps every wake-up
-  // at a time ending in .25 or .75: never integral, so never wheeled.
+  // at a time ending in .25 or .75: never integral.
   co_await des::delay(sim, 0.25);
   for (std::uint64_t i = 1; i < hops; ++i) {
     co_await des::delay(sim, period);
@@ -127,6 +133,51 @@ Sample run_fracdelay(std::uint64_t events) {
                           events / kProcs));
     }
   });
+}
+
+// --- keyed: network-style deferred events under reserved seqs -----------
+
+/// One link of the keyed workload.  Like the packet network's lazily
+/// appended arrivals, a hop reserves its calendar position when the
+/// flit is enqueued and schedules the wake-up under it later: each fire
+/// reserves a fresh seq and materializes the one reserved kDepth hops
+/// ago, kDepth being how many arrivals a link has in flight.
+struct KeyedLink {
+  static constexpr std::size_t kDepth = 4;
+  des::Simulation* sim = nullptr;
+  double hop = 0.0;
+  std::uint64_t remaining = 0;
+  std::array<std::uint64_t, kDepth> keys{};
+  std::size_t next = 0;
+
+  static void fire(void* ctx, std::uint64_t, std::uint64_t) {
+    auto& link = *static_cast<KeyedLink*>(ctx);
+    if (--link.remaining == 0) return;
+    const std::uint64_t key = link.keys[link.next];
+    link.keys[link.next] = link.sim->allocate_seq();
+    link.next = (link.next + 1) % kDepth;
+    (void)link.sim->schedule_static_at_seq(link.sim->now() + link.hop, key,
+                                           &KeyedLink::fire, &link, 0, 0);
+  }
+};
+
+Sample run_keyed(std::uint64_t events) {
+  constexpr std::size_t kLinks = 64;
+  std::vector<KeyedLink> links(kLinks);
+  des::Simulation sim;
+  for (std::size_t i = 0; i < kLinks; ++i) {
+    KeyedLink& link = links[i];
+    link.sim = &sim;
+    // Fractional per-hop costs like the calibrated (L/2) / mean_hops.
+    link.hop = 1.0 + 0.375 * static_cast<double>(i % 7) + 0.1 * static_cast<double>(i % 3);
+    link.remaining = events / kLinks;
+    for (std::uint64_t& key : link.keys) key = sim.allocate_seq();
+    (void)sim.schedule_static_at(link.hop, &KeyedLink::fire, &link, 0, 0);
+  }
+  const Sample s = timed_run(sim);
+  ensure(s.events == kLinks * (events / kLinks),
+         "bench_engine: keyed links lost hops");
+  return s;
 }
 
 // --- pingpong: two coroutines, two mailboxes ----------------------------
@@ -266,8 +317,8 @@ int main(int argc, char** argv) {
     std::vector<WorkloadResult> results;
     std::uint64_t pingpong_events_once = 0;
     for (const char* name :
-         {"dispatch", "delayloop", "fracdelay", "pingpong", "timerwheel",
-          "cancelheavy", "spawnchurn"}) {
+         {"dispatch", "delayloop", "fracdelay", "keyed", "pingpong",
+          "timerwheel", "cancelheavy", "spawnchurn"}) {
       WorkloadResult r;
       r.name = name;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -278,6 +329,8 @@ int main(int argc, char** argv) {
           s = run_delayloop(events);
         } else if (r.name == "fracdelay") {
           s = run_fracdelay(events);
+        } else if (r.name == "keyed") {
+          s = run_keyed(events);
         } else if (r.name == "pingpong") {
           s = run_pingpong(events);
           // Dispatch determinism smoke: every repetition of the same

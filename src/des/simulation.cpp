@@ -210,7 +210,7 @@ void Simulation::compact_calendar() {
   }
   now_queue_.resize(write);
   now_head_ = 0;
-  // Filter every wheel bucket's FIFO in place, preserving its order.
+  // Filter every wheel bucket's list in place, preserving its key order.
   for (std::size_t w = 0; w < kWheelWords; ++w) {
     for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
@@ -246,9 +246,10 @@ void Simulation::compact_calendar() {
 // --- timing wheel --------------------------------------------------------
 
 std::size_t Simulation::wheel_front_bucket() const {
-  // Every wheel entry lies in [floor(now), floor(now) + kWheelSpan), so
-  // scanning the buckets cyclically from floor(now)'s is time order.  The
-  // summary word finds the next non-empty bitmap word without a loop.
+  // Every wheel entry's tick lies in [now_tick_, now_tick_ +
+  // kWheelBuckets), so scanning the buckets cyclically from now_tick_'s is
+  // time order.  The summary word finds the next non-empty bitmap word
+  // without a loop.
   const std::size_t start = static_cast<std::size_t>(now_tick_) & kWheelMask;
   const std::size_t w0 = start / 64;
   const std::uint64_t here = wheel_bits_[w0] & (~std::uint64_t{0} << (start % 64));
@@ -272,6 +273,37 @@ void Simulation::wheel_free_node(std::uint32_t node) {
   wheel_free_ = node;
 }
 
+// The out-of-line half of wheel_push: `key` precedes the tail of the
+// occupied `bucket`.  Keyed events (their seq was reserved earlier) and
+// a later-scheduled event at an earlier time inside the same quarter
+// cycle land here.  Prepending is O(1); otherwise the walk from the head
+// is bounded, and an insert that would go deeper takes the heap, which
+// is just as exact (pop_next merges by key) and keeps a reverse-ordered
+// fan-out into one bucket linear rather than quadratic.
+void Simulation::wheel_insert(std::size_t bucket, unsigned __int128 key,
+                              std::uint32_t slot, std::uint32_t gen) {
+  WheelBucket& b = wheel_buckets_[bucket];
+  if (key < wheel_nodes_[b.head].key) {
+    b.head = wheel_new_node(key, slot, gen, b.head);
+    ++wheel_size_;
+    return;
+  }
+  // head.key <= key < tail.key, so a successor with a larger key exists
+  // within the list: the walk never runs off its end.
+  std::uint32_t prev = b.head;
+  for (std::size_t step = 0; step < kWheelWalk; ++step) {
+    const std::uint32_t next = wheel_nodes_[prev].next;
+    if (key < wheel_nodes_[next].key) {
+      const std::uint32_t node = wheel_new_node(key, slot, gen, next);
+      wheel_nodes_[prev].next = node;
+      ++wheel_size_;
+      return;
+    }
+    prev = next;
+  }
+  heap_push(HeapEntry{key, slot, gen});
+}
+
 void Simulation::wheel_pop_front(std::size_t bucket) {
   WheelBucket& b = wheel_buckets_[bucket];
   const std::uint32_t node = b.head;
@@ -289,8 +321,10 @@ void Simulation::wheel_pop_front(std::size_t bucket) {
 void Simulation::advance_to(SimTime t) {
   now_ = t;
   if (t < kWheelTimeCap) {
-    now_tick_ = static_cast<std::int64_t>(t);
-    wheel_limit_ = static_cast<SimTime>(now_tick_ + static_cast<std::int64_t>(kWheelSpan));
+    now_tick_ = wheel_tick(t);
+    // Exact: the sum stays below 2^53 and the scaling is a power of two.
+    wheel_limit_ = static_cast<SimTime>(now_tick_ + static_cast<std::int64_t>(kWheelBuckets)) /
+                   static_cast<SimTime>(kWheelTicksPerCycle);
   }
 }
 
@@ -311,16 +345,27 @@ bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
       best = heap_key(now_, now_queue_[now_head_].seq);
     }
     // Wheel entries can sit at exactly now_ with an older seq than the
-    // lane front (scheduled before now_ reached their cycle), so the
-    // wheel competes with the lane as well as with the heap.
+    // lane front (scheduled before now_ reached their time), so the
+    // wheel competes with the lane as well as with the heap.  Only such
+    // an entry can precede the lane's front, and it sits in now_'s own
+    // bucket, the wheel's first: with the lane non-empty, that bucket is
+    // the only one to look at (now_tick_ is now_'s tick below the cap).
     std::size_t bucket = 0;
     if (wheel_size_ != 0) {
-      bucket = wheel_front_bucket();
-      const unsigned __int128 key =
-          wheel_nodes_[wheel_buckets_[bucket].head].key;
-      if (source == Source::kNone || key < best) {
-        source = Source::kWheel;
-        best = key;
+      bool occupied = true;
+      if (source == Source::kLane && now_ < kWheelTimeCap) {
+        bucket = static_cast<std::size_t>(now_tick_) & kWheelMask;
+        occupied = ((wheel_bits_[bucket / 64] >> (bucket % 64)) & 1U) != 0;
+      } else {
+        bucket = wheel_front_bucket();
+      }
+      if (occupied) {
+        const unsigned __int128 key =
+            wheel_nodes_[wheel_buckets_[bucket].head].key;
+        if (source == Source::kNone || key < best) {
+          source = Source::kWheel;
+          best = key;
+        }
       }
     }
     if (!heap_.empty() &&
@@ -518,10 +563,10 @@ void Simulation::audit_check_now() const {
 }
 
 void Simulation::audit_wheel() const {
-  // Each non-empty bucket holds one integral time inside the wheel
-  // window, mapped to that bucket, in strictly increasing seq order; the
-  // summary word mirrors the bitmap; pooled nodes are either chained in
-  // a bucket or on the free list.
+  // Each non-empty bucket holds times inside the wheel window whose tick
+  // maps to that bucket, in strictly increasing (time, seq) key order;
+  // the summary word mirrors the bitmap; pooled nodes are either chained
+  // in a bucket or on the free list.
   std::size_t chained = 0;
   for (std::size_t w = 0; w < kWheelWords; ++w) {
     ensure(((wheel_summary_ >> w) & 1U) == (wheel_bits_[w] != 0 ? 1U : 0U),
@@ -529,7 +574,6 @@ void Simulation::audit_wheel() const {
     for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
       const WheelBucket& bucket = wheel_buckets_[b];
-      std::uint64_t prev_seq = 0;
       std::uint32_t last = kNoSlot;
       for (std::uint32_t node = bucket.head; node != kNoSlot;
            node = wheel_nodes_[node].next) {
@@ -539,12 +583,10 @@ void Simulation::audit_wheel() const {
         const HeapEntry entry{wheel_nodes_[node].key, 0, 0};
         const SimTime t = entry.time();
         ensure(t >= now_ && t < wheel_limit_ &&
-                   static_cast<SimTime>(static_cast<std::int64_t>(t)) == t &&
-                   (static_cast<std::size_t>(static_cast<std::int64_t>(t)) & kWheelMask) == b,
-               "Simulation audit: wheel entry outside its bucket's cycle");
-        ensure(entry.seq() > prev_seq,
-               "Simulation audit: wheel bucket out of seq order");
-        prev_seq = entry.seq();
+                   (static_cast<std::size_t>(wheel_tick(t)) & kWheelMask) == b,
+               "Simulation audit: wheel entry outside its bucket's quarter cycle");
+        ensure(last == kNoSlot || wheel_nodes_[last].key < entry.key,
+               "Simulation audit: wheel bucket out of key order");
         last = node;
       }
       ensure(last != kNoSlot && last == bucket.tail,

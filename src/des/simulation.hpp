@@ -20,12 +20,13 @@
 // 128-bit (time, seq) key has three parts, each of which yields its
 // entries in key order on its own:
 //   * the immediate lane: a FIFO of events scheduled exactly at now();
-//   * the timing wheel: one FIFO per integral cycle for events at an
-//     integral time less than kWheelSpan cycles ahead (the common case of
-//     t_switch / t_local / geometric-gap / L/2 delays);
-//   * a 4-ary min-heap for everything else: non-integral or far times,
-//     and every keyed schedule_static_at_seq event (its replayed seq
-//     would break a wheel bucket's FIFO == seq order).
+//   * the timing wheel: 4096 buckets of a quarter cycle each, holding
+//     every event (keyed or not, integral time or not) less than
+//     kWheelSpan = 1024 cycles ahead, each bucket a list kept in key
+//     order (O(1) append or prepend, else a walk of at most kWheelWalk
+//     nodes);
+//   * a 4-ary min-heap for far events and for the rare near one whose
+//     in-bucket walk would be longer than kWheelWalk.
 // pop_next takes the smallest key among the three fronts, so the merged
 // order is exactly the heap-only order.  cancel() bumps the slot's
 // generation in O(1) and leaves a stale entry behind, which dispatch
@@ -174,7 +175,7 @@ class Simulation {
   //
   // When enabled, every dispatch folds its (time, seq, action-kind) tuple
   // into an FNV-1a hash chain, and O(1)-amortized invariant sweeps cover
-  // the calendar order (heap order, wheel bucket placement and FIFO
+  // the calendar order (heap order, wheel bucket placement and key
   // order), the slot-pool generations/free list, and any
   // component self-checks keyed off audit_enabled() (the packet network
   // audits its credit ledgers).  When off, the cost is one predicted
@@ -197,8 +198,9 @@ class Simulation {
   void audit_check_now() const;
   /// Test-only: deliberately breaks the calendar-order invariant so tests
   /// can prove the audit sweep catches corruption.  Swaps the keys of the
-  /// first and last wheel entries when the wheel holds >= 2, else of the
-  /// heap's root and last entry (which then needs >= 2 heap entries).
+  /// first and last wheel entries when the wheel holds >= 2 (the head and
+  /// tail of one bucket when only one is occupied), else of the heap's
+  /// root and last entry (which then needs >= 2 heap entries).
   void corrupt_calendar_for_test();
 
   // --- observability (src/obs/, docs/OBSERVABILITY.md) -------------------
@@ -370,23 +372,34 @@ class Simulation {
   void compact_calendar();
   void audit_wheel() const;
 
-  // Timing wheel: one FIFO per integral cycle in [floor(now),
-  // floor(now) + kWheelSpan).  An event goes here iff it is non-keyed,
-  // strictly in the future, integral, and below wheel_limit_; so the
-  // wheel's entries occupy fewer than kWheelSpan distinct times and each
-  // bucket holds a single time.  Non-keyed seqs are handed out in push
-  // order, so every bucket's FIFO order is its seq order.
-  static constexpr std::uint64_t kWheelSpan = 1024;
-  static constexpr std::uint64_t kWheelMask = kWheelSpan - 1;
-  static constexpr std::size_t kWheelWords = kWheelSpan / 64;
+  // Timing wheel: kWheelBuckets buckets of 1/kWheelTicksPerCycle cycle
+  // covering [now_tick_, now_tick_ + kWheelBuckets) in quarter-cycle
+  // ticks, i.e. kWheelSpan cycles from the start of now()'s quarter.  An
+  // event goes here iff it is strictly in the future and below
+  // wheel_limit_, keyed or not, so the wheel's entries occupy fewer than
+  // kWheelBuckets distinct ticks and a cyclic bucket scan from now_tick_
+  // is time order.  Each bucket is a list in strict key order; an insert
+  // that would walk more than kWheelWalk nodes takes the heap instead.
+  static constexpr std::uint64_t kWheelTicksPerCycle = 4;
+  static constexpr std::uint64_t kWheelBuckets = 4096;
+  static constexpr std::uint64_t kWheelSpan = kWheelBuckets / kWheelTicksPerCycle;
+  static constexpr std::uint64_t kWheelMask = kWheelBuckets - 1;
+  static constexpr std::size_t kWheelWords = kWheelBuckets / 64;
   static_assert(kWheelWords <= 64, "one summary word indexes the bitmap");
-  /// Past this time the wheel window stops advancing (ticks near 2^53
-  /// would no longer convert exactly); events beyond the frozen window
-  /// then take the heap, which is always correct.
-  static constexpr SimTime kWheelTimeCap = 0x1p52;
+  static constexpr std::size_t kWheelWalk = 8;
+  /// Past this time the wheel window stops advancing (ticks t * 4 near
+  /// 2^53 would no longer convert exactly); events beyond the frozen
+  /// window then take the heap, which is always correct.
+  static constexpr SimTime kWheelTimeCap = 0x1p50;
 
-  /// Wheel entry: pooled, chained into its bucket's FIFO (or the node
-  /// free list) through `next`.
+  /// Quarter-cycle tick of a time below kWheelTimeCap + kWheelSpan: the
+  /// product by a power of two is exact, so is the truncation.
+  static std::int64_t wheel_tick(SimTime t) {
+    return static_cast<std::int64_t>(t * static_cast<SimTime>(kWheelTicksPerCycle));
+  }
+
+  /// Wheel entry: pooled, chained into its bucket's key-ordered list (or
+  /// the node free list) through `next`.
   struct WheelNode {
     unsigned __int128 key;
     std::uint32_t slot;
@@ -398,8 +411,14 @@ class Simulation {
     std::uint32_t tail;
   };
 
+  void calendar_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
+                     std::uint32_t gen);
   void wheel_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
                   std::uint32_t gen);
+  void wheel_insert(std::size_t bucket, unsigned __int128 key,
+                    std::uint32_t slot, std::uint32_t gen);
+  std::uint32_t wheel_new_node(unsigned __int128 key, std::uint32_t slot,
+                               std::uint32_t gen, std::uint32_t next);
   [[nodiscard]] std::size_t wheel_front_bucket() const;
   void wheel_pop_front(std::size_t bucket);
   void wheel_clear_bit(std::size_t bucket);
@@ -415,8 +434,8 @@ class Simulation {
   // Timing wheel state.  Buckets are allocated on first use and never
   // initialized: the bitmap says which heads/tails are meaningful.
   std::size_t wheel_size_ = 0;  // entries, including stale ones
-  // floor(now_): bucket scans start here.  Wheel ticks stay below 2^53,
-  // so they use signed conversions, one instruction each on x86-64
+  // wheel_tick(now_): bucket scans start here.  Wheel ticks stay below
+  // 2^53, so they use signed conversions, one instruction each on x86-64
   // (unsigned ones branch).
   std::int64_t now_tick_ = 0;
   SimTime wheel_limit_ = static_cast<SimTime>(kWheelSpan);
@@ -484,34 +503,61 @@ inline void Simulation::heap_push(const HeapEntry& entry) {
   sift_up(heap_.size() - 1);
 }
 
-inline void Simulation::wheel_push(SimTime at, std::uint64_t seq,
-                                    std::uint32_t slot, std::uint32_t gen) {
-  if (!wheel_buckets_) {
-    wheel_buckets_ = std::make_unique_for_overwrite<WheelBucket[]>(kWheelSpan);
-    wheel_nodes_.reserve(kInitialCapacity);
-  }
+inline std::uint32_t Simulation::wheel_new_node(unsigned __int128 key,
+                                                std::uint32_t slot,
+                                                std::uint32_t gen,
+                                                std::uint32_t next) {
   std::uint32_t node = wheel_free_;
   if (node != kNoSlot) {
     wheel_free_ = wheel_nodes_[node].next;
-    wheel_nodes_[node] = WheelNode{heap_key(at, seq), slot, gen, kNoSlot};
+    wheel_nodes_[node] = WheelNode{key, slot, gen, next};
   } else {
     ensure(wheel_nodes_.size() < kNoSlot, "Simulation: wheel pool exhausted");
     node = static_cast<std::uint32_t>(wheel_nodes_.size());
-    wheel_nodes_.push_back(WheelNode{heap_key(at, seq), slot, gen, kNoSlot});
+    wheel_nodes_.push_back(WheelNode{key, slot, gen, next});
   }
-  const auto b = static_cast<std::size_t>(static_cast<std::int64_t>(at)) & kWheelMask;
+  return node;
+}
+
+inline void Simulation::wheel_push(SimTime at, std::uint64_t seq,
+                                    std::uint32_t slot, std::uint32_t gen) {
+  if (!wheel_buckets_) {
+    wheel_buckets_ = std::make_unique_for_overwrite<WheelBucket[]>(kWheelBuckets);
+    wheel_nodes_.reserve(kInitialCapacity);
+  }
+  const unsigned __int128 key = heap_key(at, seq);
+  const auto b = static_cast<std::size_t>(wheel_tick(at)) & kWheelMask;
   WheelBucket& bucket = wheel_buckets_[b];
   std::uint64_t& word = wheel_bits_[b / 64];
   const std::uint64_t bit = std::uint64_t{1} << (b % 64);
-  if ((word & bit) != 0) {
-    wheel_nodes_[bucket.tail].next = node;
-  } else {
+  if ((word & bit) == 0) {
+    const std::uint32_t node = wheel_new_node(key, slot, gen, kNoSlot);
     bucket.head = node;
+    bucket.tail = node;
     word |= bit;
     wheel_summary_ |= std::uint64_t{1} << (b / 64);
+  } else if (!(key < wheel_nodes_[bucket.tail].key)) {
+    // The common case: a key after everything in the bucket (non-keyed
+    // seqs are handed out in push order).
+    const std::uint32_t node = wheel_new_node(key, slot, gen, kNoSlot);
+    wheel_nodes_[bucket.tail].next = node;
+    bucket.tail = node;
+  } else {
+    wheel_insert(b, key, slot, gen);
+    return;
   }
-  bucket.tail = node;
   ++wheel_size_;
+}
+
+inline void Simulation::calendar_push(SimTime at, std::uint64_t seq,
+                                       std::uint32_t slot, std::uint32_t gen) {
+  // Near (now_ < at < wheel_limit_ <= 2^50 + kWheelSpan, so wheel_tick is
+  // exact): the wheel's key-ordered bucket, no sift.  Far: the heap.
+  if (at < wheel_limit_) {
+    wheel_push(at, seq, slot, gen);
+  } else {
+    heap_push(HeapEntry{heap_key(at, seq), slot, gen});
+  }
 }
 
 inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
@@ -524,14 +570,8 @@ inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
     // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
     // spawns) skip the heap entirely; FIFO order == seq order.
     now_queue_.push_back(NowEntry{seq, index, slot.generation});
-  } else if (at < wheel_limit_ &&
-             static_cast<SimTime>(static_cast<std::int64_t>(at)) == at) {
-    // Near integral time (0 <= now_ < at < wheel_limit_ <= 2^52 +
-    // kWheelSpan, so the cast is in range): the wheel's per-cycle FIFO,
-    // no sift.
-    wheel_push(at, seq, index, slot.generation);
   } else {
-    heap_push(HeapEntry{heap_key(at, seq), index, slot.generation});
+    calendar_push(at, seq, index, slot.generation);
   }
   ++live_events_;
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
@@ -544,12 +584,12 @@ inline des::EventId Simulation::schedule_action_seq(SimTime at,
                                                     std::uint64_t seq,
                                                     EventAction action) {
   // A keyed event is always strictly in the future (callers ensure it),
-  // so it goes to the heap: the lane's and the wheel buckets' FIFOs
-  // assume seq order matches push order, which a replayed key violates.
+  // so it never joins the lane, whose FIFO assumes push order == seq
+  // order.  The wheel's buckets are key-ordered, so it may go there.
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);
-  heap_push(HeapEntry{heap_key(at, seq), index, slot.generation});
+  calendar_push(at, seq, index, slot.generation);
   ++live_events_;
   const EventId id = (static_cast<EventId>(slot.generation) << 32) |
                      static_cast<EventId>(index);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -245,6 +246,8 @@ void PacketNetwork::on_event(void* self, std::uint64_t a, std::uint64_t b) {
 
 void PacketNetwork::push_run(LinkState& link, double first, double stride,
                              std::uint32_t left) {
+  // An extended run keeps its own first, which is already >= ledger_due.
+  link.ledger_due = std::min(link.ledger_due, first);
   if (!link.ledger.empty() && left == 1) {
     // Extend an arithmetic run in place (per-flit elided ejections on a
     // streaming link arrive here one flit_cycle apart).
@@ -271,8 +274,10 @@ void PacketNetwork::fold_ledger(LinkState& link, double t) {
   // mode the elision margin guarantees the link can never be starving
   // while a return is pending, and each return is replayed at its exact
   // cycle to keep the occupancy accumulator bit-identical to the
-  // pre-rewrite engine's.
-  if (link.ledger.empty()) return;
+  // pre-rewrite engine's.  Most folds find nothing due (the ledger is
+  // empty or its earliest return is still ahead), and the cached
+  // ledger_due answers that without touching the runs.
+  if (t < link.ledger_due) return;
   if (cfg_.wormhole) {
     std::size_t keep = 0;
     for (std::size_t i = 0; i < link.ledger.size(); ++i) {
@@ -292,6 +297,7 @@ void PacketNetwork::fold_ledger(LinkState& link, double t) {
       if (run.left > 0) link.ledger[keep++] = run;
     }
     link.ledger.resize(keep);
+    refresh_ledger_due(link);
     return;
   }
   while (!link.ledger.empty()) {
@@ -305,7 +311,7 @@ void PacketNetwork::fold_ledger(LinkState& link, double t) {
         best = i;
       }
     }
-    if (best == link.ledger.size()) return;
+    if (best == link.ledger.size()) break;
     OpRun& run = link.ledger[best];
     ensure(link.phase != Phase::kBlocked,
            "PacketNetwork: deferred credit release on a blocked link");
@@ -317,6 +323,13 @@ void PacketNetwork::fold_ledger(LinkState& link, double t) {
                         static_cast<std::ptrdiff_t>(best));
     }
   }
+  refresh_ledger_due(link);
+}
+
+void PacketNetwork::refresh_ledger_due(LinkState& link) {
+  double due = std::numeric_limits<double>::infinity();
+  for (const OpRun& run : link.ledger) due = std::min(due, run.first);
+  link.ledger_due = due;
 }
 
 // --- credit flow ---------------------------------------------------------
@@ -346,19 +359,9 @@ void PacketNetwork::release_credit(std::uint32_t li) {
 
 void PacketNetwork::arm_credit_wake(std::uint32_t li) {
   LinkState& link = links_[li];
-  if (link.credit_wake_armed) return;
-  double earliest = 0.0;
-  bool found = false;
-  for (const OpRun& run : link.ledger) {
-
-    if (!found || run.first < earliest) {
-      earliest = run.first;
-      found = true;
-    }
-  }
-  if (!found) return;
+  if (link.credit_wake_armed || link.ledger.empty()) return;
   link.credit_wake_armed = true;
-  schedule_ev(earliest, Ev::kCreditWake, li, 0);
+  schedule_ev(link.ledger_due, Ev::kCreditWake, li, 0);
 }
 
 void PacketNetwork::on_credit_wake(std::uint32_t li) {

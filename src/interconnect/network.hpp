@@ -53,6 +53,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -198,6 +199,9 @@ class PacketNetwork {
     SegRing mat;  ///< materialized entries: NIC injections, routed pushes
     SegRing net;  ///< lazily appended in-flight arrivals (ready-monotone)
     std::vector<OpRun> ledger;  ///< pending micro-ops, folded on touch
+    /// Earliest OpRun::first in the ledger (+inf when empty): a fold
+    /// before it has nothing to do.
+    double ledger_due = std::numeric_limits<double>::infinity();
     std::int64_t credits = 0;   ///< folded available downstream credits
     Phase phase = Phase::kIdle;
     bool start_pending = false;  ///< a begin event sits in the lane
@@ -214,17 +218,19 @@ class PacketNetwork {
   };
 
   // --- event plumbing (EventAction::call trampolines) -------------------
+  // "lane": scheduled at now(), the kernel's immediate lane; "timed": a
+  // future time, the kernel's timing wheel (or its heap when far ahead).
   enum class Ev : std::uint64_t {
     kStart,    ///< lane: begin serialization after an enqueue wake-up
     kGrant,    ///< lane: begin serialization after a credit grant
-    kAdvance,  ///< heap: serialization end of the current flit/train
-    kArrive,   ///< heap: flit lands at the downstream router
-    kFwd,      ///< heap: router-latency-delayed enqueue on the next link
+    kAdvance,  ///< timed: serialization end of the current flit/train
+    kArrive,   ///< timed: flit lands at the downstream router
+    kFwd,      ///< timed: router-latency-delayed enqueue on the next link
     kLocal,    ///< lane: src == dst local delivery
-    kWake,     ///< heap: keyed wake-up for a lazily appended arrival
-    kCreditWake,  ///< heap: a ledgered credit return matures for a
+    kWake,     ///< timed, keyed: wake-up for a lazily appended arrival
+    kCreditWake,  ///< timed: a ledgered credit return matures for a
                   ///< blocked serializer (wormhole mode)
-    kComplete,    ///< heap: delivery of a train's final ejected flit
+    kComplete,    ///< timed: delivery of a train's final ejected flit
   };
   static void on_event(void* self, std::uint64_t a, std::uint64_t b);
   void schedule_ev(SimTime at, Ev ev, std::uint32_t link, Handle packet);
@@ -239,6 +245,7 @@ class PacketNetwork {
   void on_credit_wake(std::uint32_t link);
 
   void fold_ledger(LinkState& link, double t);
+  void refresh_ledger_due(LinkState& link);  ///< recompute the cached min
   /// Audit-mode credit-conservation check (see des/audit.hpp); called on
   /// link-advance events when sim_.audit_enabled().
   void audit_check_link(const LinkState& link) const;

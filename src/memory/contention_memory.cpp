@@ -43,6 +43,7 @@ struct ContentionMemory::Engine {
 
   des::Simulation& sim;
   const ContentionMemory& owner;
+  const AccessMap map;
   std::vector<Bank> banks;
   std::vector<Request> slab;
   std::uint32_t free_head = kNone;
@@ -61,7 +62,7 @@ struct ContentionMemory::Engine {
   std::vector<des::LabelId> bank_trace_labels;
 
   Engine(des::Simulation& s, const ContentionMemory& m)
-      : sim(s), owner(m), ports(m.cfg_.resolved_ports()) {
+      : sim(s), owner(m), map(m.access_map()), ports(m.cfg_.resolved_ports()) {
     banks.resize(m.cfg_.resolved_banks());
     for (auto& b : banks) b.rows = DramBank(m.cfg_.spec);
     ring.resize(banks.size());
@@ -226,6 +227,16 @@ std::uint64_t ContentionMemory::row_of(std::uint64_t addr) const {
   return (addr / word_bytes) / cfg_.spec.words_per_row();
 }
 
+ContentionMemory::AccessMap ContentionMemory::access_map() const {
+  AccessMap map;
+  map.bank_of_node.resize(cfg_.nodes);
+  for (std::size_t n = 0; n < cfg_.nodes; ++n) {
+    map.bank_of_node[n] = static_cast<std::uint32_t>(bank_of(n));
+  }
+  map.row_bytes = (cfg_.spec.word_bits / 8) * cfg_.spec.words_per_row();
+  return map;
+}
+
 void ContentionMemory::bind(des::Simulation& sim) const {
   if (eng_ != nullptr) {
     ensure(sim_ == &sim,
@@ -251,8 +262,8 @@ void ContentionMemory::access(des::Simulation& sim, std::size_t node,
   r.a = a;
   r.b = b;
   r.seq = sim.allocate_seq();
-  r.row = row_of(addr);
-  r.bank = static_cast<std::uint32_t>(bank_of(node));
+  r.row = e.map.row(addr);
+  r.bank = e.map.bank(node);
   r.kind = kind;
   e.issue(idx);
 }

@@ -72,6 +72,24 @@ class ContentionMemory final : public MemorySystem {
   /// Row an address maps to within its bank.
   [[nodiscard]] std::uint64_t row_of(std::uint64_t addr) const;
 
+  /// bank_of/row_of without their per-call divisions, precomputed once
+  /// per run: a node -> home-bank table and one row divisor (for unsigned
+  /// integers (a / b) / c == a / (b * c), so row() equals row_of()).
+  struct AccessMap {
+    std::vector<std::uint32_t> bank_of_node;  ///< bank_of(n) for n < nodes
+    std::uint64_t row_bytes = 1;               ///< word bytes x words per row
+
+    [[nodiscard]] std::uint32_t bank(std::size_t node) const {
+      return node < bank_of_node.size()
+                 ? bank_of_node[node]
+                 : bank_of_node[node % bank_of_node.size()];
+    }
+    [[nodiscard]] std::uint64_t row(std::uint64_t addr) const {
+      return addr / row_bytes;
+    }
+  };
+  [[nodiscard]] AccessMap access_map() const;
+
  private:
   struct Engine;
 

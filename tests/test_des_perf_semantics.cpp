@@ -6,6 +6,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -317,18 +318,37 @@ TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruption) {
   EXPECT_THROW(sim.run(), LogicError);
 }
 
-// Integral near-future times land in the timing wheel (the test above);
-// non-integral ones take the heap, whose order the sweep checks too.
+// Near-future times land in the timing wheel (the test above); events
+// at least the wheel's 1024-cycle span ahead take the heap, whose order
+// the sweep checks too.
 TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruptionOffTheWheel) {
   des::Simulation sim;
   sim.set_audit(true);
   for (int i = 0; i < 8; ++i) {
-    sim.schedule_at(1.5 + i, [] {});
+    sim.schedule_at(2000.5 + i, [] {});
   }
   sim.audit_check_now();
   sim.corrupt_calendar_for_test();
   EXPECT_THROW(sim.audit_check_now(), LogicError);
   EXPECT_THROW(sim.run(), LogicError);
+}
+
+// Every entry in one quarter-cycle bucket: swapping the head's and the
+// tail's keys leaves both correctly placed, so only the in-bucket key
+// order check can catch it.
+TEST(AuditMode, InvariantSweepCatchesKeyOrderBreakInsideOneBucket) {
+  des::Simulation sim;
+  sim.set_audit(true);
+  for (const double t : {5.0, 5.0, 5.1, 5.2}) sim.schedule_at(t, [] {});
+  sim.audit_check_now();
+  sim.corrupt_calendar_for_test();
+  try {
+    sim.audit_check_now();
+    FAIL() << "audit sweep missed a key-order break inside a bucket";
+  } catch (const LogicError& e) {
+    EXPECT_NE(std::string(e.what()).find("key order"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(AuditMode, Fig12RegistryChainIdenticalAcrossSweepThreads) {

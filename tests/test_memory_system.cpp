@@ -151,6 +151,35 @@ TEST(Banked, StridedStreamKeepsRowsOpen) {
   EXPECT_DOUBLE_EQ(memory->row_hit_rate(), 56.0 / 64.0);
 }
 
+TEST(Banked, AccessMapMatchesBankOfAndRowOf) {
+  // access() uses the precomputed table and divisor; bank_of/row_of are
+  // the division-per-call reference.  Banks below, equal to and above
+  // the node count, nodes past the table (wrapped), and a geometry whose
+  // words_per_row (3) is not a power of two.
+  for (const std::size_t banks : {std::size_t{3}, std::size_t{7}, std::size_t{11}}) {
+    for (const std::size_t words : {std::size_t{8}, std::size_t{3}}) {
+      MemoryConfig mc;
+      mc.kind = "banked";
+      mc.nodes = 7;
+      mc.banks = banks;
+      mc.spec.word_bits = 256;
+      mc.spec.row_bits = 256 * words;
+      const ContentionMemory memory(mc);
+      const ContentionMemory::AccessMap map = memory.access_map();
+      for (std::size_t node = 0; node < 3 * mc.nodes; ++node) {
+        EXPECT_EQ(map.bank(node), memory.bank_of(node))
+            << "banks=" << banks << " node=" << node;
+      }
+      for (std::uint64_t addr = 0; addr < 4096; addr += 7) {
+        EXPECT_EQ(map.row(addr), memory.row_of(addr))
+            << "words_per_row=" << words << " addr=" << addr;
+      }
+      const std::uint64_t high = ~std::uint64_t{0} - 12345;
+      EXPECT_EQ(map.row(high), memory.row_of(high)) << words;
+    }
+  }
+}
+
 TEST(Banked, RebindToSecondSimulationThrows) {
   MemoryConfig mc;
   mc.kind = "banked";

@@ -1,6 +1,7 @@
 // Tests for the discrete-event scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -9,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -169,10 +171,12 @@ TEST(Simulation, TracerCallbackMode) {
 // lane, timing wheel, heap).  Its contract is that dispatch order is
 // exactly the (time, seq) order of one ordered set holding everything.
 // CalendarOracle drives the kernel with a seeded mix of every routing
-// case -- same-time, near and far integral, non-integral, times shared
-// with already-pending events, keyed schedule_static_at_seq events under
-// old reserved seqs, cancels and self-cancels -- and checks every
-// dispatch (time, seq and identity) against such a set.
+// case -- same-time, near and far integral, non-integral, several times
+// inside one quarter-cycle wheel bucket, times shared with
+// already-pending events, keyed schedule_static_at_seq events under old
+// reserved seqs (near ones landing at the head or in the middle of a
+// bucket that already holds newer entries), cancels and self-cancels --
+// and checks every dispatch (time, seq and identity) against such a set.
 
 class CalendarOracle {
  public:
@@ -204,7 +208,7 @@ class CalendarOracle {
   /// outside scheduling.
   void drive() {
     const SimTime now = sim_.now();
-    switch (rng_.uniform_int(0, 4)) {
+    switch (rng_.uniform_int(0, 5)) {
       case 0: {
         const SimTime base = std::floor(now) + static_cast<double>(rng_.uniform_int(0, 40));
         const SimTime horizon = rng_.bernoulli(0.5) ? base + 0.5 : base;
@@ -224,6 +228,9 @@ class CalendarOracle {
         break;
       case 3:  // cancel storm: stale entries come to dominate, compaction runs
         for (std::size_t i = pending_.size() / 2; i > 0; --i) cancel_random();
+        break;
+      case 4:
+        keyed_burst();
         break;
       default:
         act(6);
@@ -268,11 +275,36 @@ class CalendarOracle {
     check(reserved_.back() == next_seq_++, "allocate_seq out of step");
   }
 
+  /// Start of a quarter-cycle wheel bucket 1..8 buckets after now()'s.
+  SimTime near_quarter() {
+    return std::floor(sim_.now() * 4.0) / 4.0 +
+           0.25 * static_cast<double>(rng_.uniform_int(1, 8));
+  }
+  /// One of four distinct times inside the bucket starting at `quarter`.
+  SimTime inside_quarter(SimTime quarter) {
+    return quarter + 0.0625 * static_cast<double>(rng_.uniform_int(0, 3));
+  }
+
+  /// Near keyed events into one bucket that already holds newer non-keyed
+  /// entries: their reserved seqs are older, so they insert at the head
+  /// or in the middle of the bucket -- the packet network's pattern.
+  void keyed_burst() {
+    const SimTime quarter = near_quarter();
+    const auto keys = static_cast<int>(rng_.uniform_int(1, 4));
+    for (int i = 0; i < keys; ++i) reserve_seq();
+    for (auto n = rng_.uniform_int(1, 4); n > 0 && scheduled_ < budget_; --n) {
+      schedule_plain(inside_quarter(quarter));
+    }
+    for (int i = 0; i < keys && !reserved_.empty() && scheduled_ < budget_; ++i) {
+      schedule_keyed(inside_quarter(quarter));
+    }
+  }
+
   /// A time strictly after now() of a random routing class.
   SimTime future_time() {
     const SimTime now = sim_.now();
     const SimTime tick = std::floor(now);
-    switch (rng_.uniform_int(0, 5)) {
+    switch (rng_.uniform_int(0, 6)) {
       case 0:  // near integral, straddling the wheel span
         return tick + static_cast<double>(rng_.uniform_int(1, 1100));
       case 1:  // far integral
@@ -281,6 +313,8 @@ class CalendarOracle {
         return now + rng_.uniform(0.001, 50.0);
       case 3:  // mid-cycle
         return tick + static_cast<double>(rng_.uniform_int(1, 30)) + 0.5;
+      case 4:  // several distinct times inside one quarter-cycle bucket
+        return inside_quarter(near_quarter());
       default: {  // share a pending event's time when one is in the future
         if (!pending_.empty()) {
           auto it = pending_.lower_bound(
@@ -294,22 +328,30 @@ class CalendarOracle {
   }
 
   void schedule_random() {
-    const std::uint64_t tag = next_tag_++;
-    ++scheduled_;
     if (!reserved_.empty() && rng_.bernoulli(0.25)) {
-      // Keyed: an old reserved seq, so its key is older than events
-      // scheduled since -- the case that must stay out of FIFO buckets.
-      const std::size_t pick = rng_.uniform_int(0, reserved_.size() - 1);
-      const std::uint64_t seq = reserved_[pick];
-      reserved_[pick] = reserved_.back();
-      reserved_.pop_back();
-      const SimTime at = future_time();
-      const EventId id =
-          sim_.schedule_static_at_seq(at, seq, &CalendarOracle::on_static, this, tag, 0);
-      add(tag, id, at, seq);
+      schedule_keyed(future_time());
       return;
     }
-    const SimTime at = rng_.bernoulli(0.2) ? sim_.now() : future_time();
+    schedule_plain(rng_.bernoulli(0.2) ? sim_.now() : future_time());
+  }
+
+  /// Keyed at `at` (> now) under a random old reserved seq, so its key is
+  /// older than events scheduled since: it cannot simply be appended.
+  void schedule_keyed(SimTime at) {
+    const std::uint64_t tag = next_tag_++;
+    ++scheduled_;
+    const std::size_t pick = rng_.uniform_int(0, reserved_.size() - 1);
+    const std::uint64_t seq = reserved_[pick];
+    reserved_[pick] = reserved_.back();
+    reserved_.pop_back();
+    const EventId id =
+        sim_.schedule_static_at_seq(at, seq, &CalendarOracle::on_static, this, tag, 0);
+    add(tag, id, at, seq);
+  }
+
+  void schedule_plain(SimTime at) {
+    const std::uint64_t tag = next_tag_++;
+    ++scheduled_;
     const std::uint64_t seq = next_seq_++;
     EventId id = kInvalidEvent;
     if (rng_.bernoulli(0.5)) {
@@ -379,9 +421,10 @@ class CalendarOracle {
 };
 
 TEST(CalendarDifferential, WheelScanWrapsIntoTheStartWord) {
-  // Parked mid-cycle at 10.5, the scan starts at bucket 10.  Events a
-  // near-full span ahead wrap into buckets 5 and 9 -- the same bitmap
-  // word as the start, below it -- and must still dispatch after 20.
+  // Parked mid-cycle at 10.5, the scan starts at quarter-cycle bucket
+  // 42.  Events a near-full span ahead wrap into buckets 20 and 36 -- the
+  // same bitmap word as the start, below it -- and must still dispatch
+  // after 20.
   Simulation sim;
   sim.run_until(10.5);
   std::vector<double> order;
@@ -390,6 +433,45 @@ TEST(CalendarDifferential, WheelScanWrapsIntoTheStartWord) {
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<double>{20.0, 1029.0, 1033.0}));
+  EXPECT_EQ(sim.calendar_entries(), 0u);
+}
+
+TEST(CalendarDifferential, KeyedFanOutIntoOneBucketDispatchesInKeyOrder) {
+  // 100k keyed events into the single quarter-cycle bucket [10, 10.25).
+  // The first half arrives at 10.125 in reverse key order (each one a
+  // head insert) and is capped by a newer tail.  The second half arrives
+  // in seq order alternating between 10.0 and 10.125: those at 10.125
+  // belong between the first half and the tail, and those at 10.0 behind
+  // the earlier 10.0 ones, so every insert walks further than the last
+  // -- quadratic without the walk bound; past it they take the heap.
+  // Dispatch must be exact key order either way.
+  constexpr std::uint64_t kHalf = 50'000;
+  Simulation sim;
+  std::vector<std::uint64_t> down(kHalf);
+  std::vector<std::uint64_t> up(kHalf);
+  for (std::uint64_t& seq : down) seq = sim.allocate_seq();
+  for (std::uint64_t& seq : up) seq = sim.allocate_seq();
+  const std::uint64_t tail = sim.allocate_seq();
+  std::vector<std::pair<SimTime, std::uint64_t>> order;
+  order.reserve(2 * kHalf + 1);
+  const auto record = [](void* ctx, std::uint64_t, std::uint64_t) {
+    auto& [s, out] = *static_cast<std::pair<Simulation*, decltype(order)*>*>(ctx);
+    out->emplace_back(s->now(), s->current_dispatch_seq());
+  };
+  std::pair<Simulation*, decltype(order)*> ctx{&sim, &order};
+  for (std::uint64_t i = kHalf; i-- > 0;) {
+    sim.schedule_static_at_seq(10.125, down[i], record, &ctx, 0, 0);
+  }
+  sim.schedule_static_at_seq(10.125, tail, record, &ctx, 0, 0);
+  for (std::uint64_t i = 0; i < kHalf; ++i) {
+    sim.schedule_static_at_seq(10.0 + 0.125 * static_cast<double>(i % 2), up[i],
+                               record, &ctx, 0, 0);
+  }
+  sim.audit_check_now();
+  sim.run();
+  ASSERT_EQ(order.size(), 2 * kHalf + 1);
+  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
+  EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end());
   EXPECT_EQ(sim.calendar_entries(), 0u);
 }
 
