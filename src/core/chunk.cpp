@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
@@ -26,21 +27,6 @@ namespace {
 
 constexpr const char* kManifestSchema = "pimsim-manifest-v2";
 constexpr const char* kChunkSchema = "pimsim-chunk-v2";
-
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c);
-    }
-  }
-  return out;
-}
 
 std::string json_unescape(const std::string& in) {
   std::string out;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -14,14 +13,14 @@
 
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/table.hpp"
 #include "core/chunk.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
 #include "des/audit.hpp"
-#include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
+#include "obs/session.hpp"
 
 namespace pimsim::core {
 namespace {
@@ -129,20 +128,6 @@ void print_param_lines(std::ostream& os, const Scenario& s) {
   if (s.params.empty()) os << "    (no parameters)\n";
 }
 
-std::string json_escape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 void print_list_json(std::ostream& os) {
   const auto scenarios = ScenarioRegistry::global().all();
   os << "{\n  \"scenarios\": [\n";
@@ -221,73 +206,17 @@ int cmd_list(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Turns on kernel audit mode for every Simulation constructed after
-/// this call (the PIMSIM_AUDIT env var is read in the Simulation
-/// constructor, which is how the flag reaches simulations buried inside
-/// figure generators) and clears the process-wide chain aggregate.
-void enable_audit() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): called before any sweep
-  // thread is spawned; only Simulation constructors read it back.
-  ::setenv("PIMSIM_AUDIT", "1", 1);
-  des::AuditRegistry::global().reset();
-}
-
-void report_audit(std::ostream& os) {
-  const auto sum = des::AuditRegistry::global().snapshot();
-  os << "# audit: " << sum.simulations << " simulation(s), " << sum.events
-     << " event(s), chain " << std::hex << sum.combined << std::dec << "\n";
-}
-
-/// The observability switches use the same env-var seam as enable_audit:
-/// every Simulation constructed after the call reads the flag back, which
-/// is how the switch reaches simulations buried inside figure generators.
-void enable_trace() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): called before any sweep
-  // thread is spawned; only Simulation constructors read it back.
-  // overwrite=0: a PIMSIM_TRACE=full (or custom cap) already in the
-  // environment keeps its value.
-  ::setenv("PIMSIM_TRACE", "1", 0);
-  obs::TraceHub::global().reset();
-}
-
-void enable_metrics() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): same discipline as enable_audit.
-  ::setenv("PIMSIM_METRICS", "1", 1);
-  obs::MetricsHub::global().reset();
-}
-
-void enable_profile() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): same discipline as enable_audit.
-  ::setenv("PIMSIM_PROFILE", "1", 1);
-  obs::ProfileHub::global().reset();
-}
-
-void write_trace_file(const std::string& path) {
-  std::ofstream os(path);
-  require(os.good(), "pimsim: cannot open trace file '" + path + "'");
-  const auto& hub = obs::TraceHub::global();
-  hub.write_json(os);
-  std::cerr << "# trace: " << hub.simulations() << " simulation(s), "
-            << hub.records() << " record(s), " << hub.dropped()
-            << " dropped -> " << path << "\n";
-}
-
-void write_metrics_file(const std::string& path) {
-  std::ofstream os(path);
-  require(os.good(), "pimsim: cannot open metrics file '" + path + "'");
-  const auto& hub = obs::MetricsHub::global();
-  const bool csv = path.size() >= 4 && path.rfind(".csv") == path.size() - 4;
-  if (csv) {
-    hub.write_csv(os);
-  } else {
-    hub.write_json(os);
-  }
-  std::cerr << "# metrics: " << hub.simulations() << " simulation(s) -> "
-            << path << "\n";
-}
-
-void report_profile(std::ostream& os) {
-  obs::ProfileHub::global().write_table(os);
+/// The observability switches of one command: its own keys overlaid on
+/// the PIMSIM_* environment (so PIMSIM_TRACE=full and PIMSIM_TRACE_CAP
+/// still shape trace=).  The command opens an obs::Session with them,
+/// which reaches every Simulation it constructs, on any thread.
+obs::RunOptions with_env(const obs::RunOptions& keys) {
+  obs::RunOptions options = obs::RunOptions::from_env();
+  options.audit = options.audit || keys.audit;
+  options.trace = options.trace || keys.trace;
+  options.metrics = options.metrics || keys.metrics;
+  options.profile = options.profile || keys.profile;
+  return options;
 }
 
 int cmd_run(const std::vector<std::string>& args) {
@@ -301,10 +230,11 @@ int cmd_run(const std::vector<std::string>& args) {
   const bool profile = cfg.get_bool("profile", false);
   preflight_out(cfg);
 
-  if (audit) enable_audit();
-  if (!trace_path.empty()) enable_trace();
-  if (!metrics_path.empty()) enable_metrics();
-  if (profile) enable_profile();
+  const obs::Session session(with_env({.audit = audit,
+                                       .trace = !trace_path.empty(),
+                                       .metrics = !metrics_path.empty(),
+                                       .profile = profile}),
+                             {.trace = trace_path, .metrics = metrics_path});
   const auto start = std::chrono::steady_clock::now();
   const Table table = run_scenario(scenario, cfg, kRunDriverKeys);
   const double elapsed = std::chrono::duration<double>(
@@ -314,10 +244,7 @@ int cmd_run(const std::vector<std::string>& args) {
   // grid) must not truncate an existing results file.
   const auto out = open_out(cfg);
   render_table(out ? *out : std::cout, table, format);
-  if (audit) report_audit(std::cerr);
-  if (!trace_path.empty()) write_trace_file(trace_path);
-  if (!metrics_path.empty()) write_metrics_file(metrics_path);
-  if (profile) report_profile(std::cerr);
+  session.report(std::cerr);
   std::ostringstream line;
   line << "# generated in " << std::fixed << std::setprecision(6) << elapsed
        << " s\n";
@@ -405,8 +332,8 @@ int run_shard(const Scenario& scenario, const Config& cli,
   // Metrics are always collected in shard mode: the sidecar carries the
   // per-simulation snapshots so `pimsim merge` can refold them exactly
   // as the unsharded run would have.
-  enable_metrics();
-  if (profile) enable_profile();
+  const obs::Session session(with_env({.metrics = true, .profile = profile}),
+                             {.metrics = metrics_path});
   const std::vector<std::size_t> mine = units_of_shard(grid, shard);
   const auto start = std::chrono::steady_clock::now();
   SweepRunner runner(jobs);
@@ -417,8 +344,7 @@ int run_shard(const Scenario& scenario, const Config& cli,
                              .count();
   write_chunk(dir, grid, shard, tables,
               obs::MetricsHub::global().snapshot_bytes(), elapsed);
-  if (!metrics_path.empty()) write_metrics_file(metrics_path);
-  if (profile) report_profile(std::cerr);
+  session.report(std::cerr);
   std::cerr << "# shard " << shard << "/" << grid.shards << ": swept "
             << mine.size() << " of " << grid.unit_point.size()
             << " unit(s) on " << runner.threads() << " thread(s) in "
@@ -506,8 +432,9 @@ int cmd_sweep(const std::vector<std::string>& args) {
 
   // Aggregation across units is deterministic regardless of jobs=N: the
   // hub folds snapshots in content order, not arrival order.
-  if (!metrics_path.empty()) enable_metrics();
-  if (profile) enable_profile();
+  const obs::Session session(
+      with_env({.metrics = !metrics_path.empty(), .profile = profile}),
+      {.metrics = metrics_path});
   const auto start = std::chrono::steady_clock::now();
   SweepRunner runner(jobs);
   std::vector<Table> tables =
@@ -521,8 +448,7 @@ int cmd_sweep(const std::vector<std::string>& args) {
   const auto out = open_out(cli);
   render_grid(out ? *out : std::cout, grid,
               [&tables](std::size_t unit) { return std::move(tables[unit]); });
-  if (!metrics_path.empty()) write_metrics_file(metrics_path);
-  if (profile) report_profile(std::cerr);
+  session.report(std::cerr);
   std::cerr << "# swept " << points.size() << " point(s) on "
             << runner.threads() << " thread(s) in " << elapsed << " s\n";
   return 0;
@@ -538,7 +464,10 @@ int cmd_merge(const std::vector<std::string>& args) {
   (void)cfg.get_string("out", "");
   cfg.reject_unused();
 
-  if (!metrics_path.empty()) obs::MetricsHub::global().reset();
+  // Merge runs no simulations: its session only collects the shards'
+  // metrics snapshots and reports them.
+  const obs::Session session({.metrics = !metrics_path.empty()},
+                             {.metrics = metrics_path});
   const ChunkedSweep sweep =
       read_chunked_sweep(dir, [&](const std::string& snapshot) {
         if (!metrics_path.empty()) {
@@ -548,7 +477,7 @@ int cmd_merge(const std::vector<std::string>& args) {
   const auto out = open_out(cfg);
   render_grid(out ? *out : std::cout, sweep.grid,
               [&sweep](std::size_t unit) { return sweep.table(unit); });
-  if (!metrics_path.empty()) write_metrics_file(metrics_path);
+  session.report(std::cerr);
   std::cerr << "# merged " << sweep.grid.shards << " chunk(s), "
             << sweep.grid.assignments.size() << " point(s), shard wall time "
             << sweep.shard_wall_seconds << " s\n";
@@ -674,7 +603,7 @@ int cmd_verify(const std::vector<std::string>& args) {
   const bool audit = cfg.get_bool("audit", false);
   cfg.reject_unused();
 
-  if (audit) enable_audit();
+  const obs::Session session(with_env({.audit = audit}));
   int failures = 0;
   if (args[0] == "all") {
     for (const Scenario* s : ScenarioRegistry::global().all()) {

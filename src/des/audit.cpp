@@ -1,7 +1,6 @@
 #include "des/audit.hpp"
 
 #include <algorithm>
-#include <mutex>
 
 namespace pimsim::des {
 
@@ -28,47 +27,19 @@ std::optional<std::uint64_t> first_divergence(const AuditLog& a,
   return std::nullopt;
 }
 
-// The one deliberately process-global piece of audit state: simulations
-// are constructed deep inside figure generators on sweep worker threads,
-// so their chains must surface somewhere thread-safe and commutative.
-struct AuditRegistry::Impl {
-  mutable std::mutex mutex;
-  Summary summary;
-};
-
-AuditRegistry::Impl& AuditRegistry::impl() const {
-  // The audit aggregate is inherently process-scoped (simulations report
-  // from arbitrary sweep threads); all access is mutex-serialized and
-  // combined commutatively, so thread schedule cannot affect any value.
-  // lint:allow(mutable-static): process-scoped by design, mutex-serialized
-  static Impl instance;
-  return instance;
-}
-
-AuditRegistry& AuditRegistry::global() {
-  // lint:allow(mutable-static): stateless handle to the Impl singleton above
-  static AuditRegistry registry;
-  return registry;
-}
-
 void AuditRegistry::absorb(const AuditLog& log) {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  state.summary.simulations += 1;
-  state.summary.events += log.events();
-  state.summary.combined ^= log.hash();
+  absorb_with([&log](Summary& sum) {
+    sum.events += log.events();
+    sum.combined ^= log.hash();
+  });
 }
 
 AuditRegistry::Summary AuditRegistry::snapshot() const {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  return state.summary;
-}
-
-void AuditRegistry::reset() {
-  Impl& state = impl();
-  const std::lock_guard<std::mutex> lock(state.mutex);
-  state.summary = Summary{};
+  return read([](const Summary& sum, std::uint64_t simulations) {
+    Summary out = sum;
+    out.simulations = simulations;
+    return out;
+  });
 }
 
 }  // namespace pimsim::des

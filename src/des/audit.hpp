@@ -8,10 +8,11 @@
 // window — event-index granularity instead of an opaque fleet-wide
 // fingerprint mismatch.
 //
-// Enabling: Simulation::set_audit(true), or the PIMSIM_AUDIT=1
-// environment variable (read at Simulation construction, which is how
-// `pimsim run/verify ... audit=1` reaches the simulations buried inside
-// figure generators).  When off, the cost is one predicted branch per
+// Enabling: Simulation::set_audit(true), an obs::Session with
+// RunOptions::audit set (how `pimsim run/verify ... audit=1` reaches the
+// simulations buried inside figure generators), or, for embedded callers
+// with no session active, the PIMSIM_AUDIT=1 environment variable (read
+// at every Simulation construction; see obs/session.hpp).  When off, the cost is one predicted branch per
 // dispatch — the same pattern as tracing_enabled(), held to the
 // bench_engine floors in bench/baselines.json.
 //
@@ -22,8 +23,8 @@
 // the event where it happens, not at the end of a 10^8-event run.
 //
 // Cross-thread aggregation: a sweep at jobs=N constructs its simulations
-// inside pool workers in schedule-dependent order, so AuditRegistry
-// combines per-simulation chains commutatively (order-independent XOR)
+// inside pool workers in schedule-dependent order, so AuditRegistry (an
+// obs::Hub, like the other observability layers) combines per-simulation chains commutatively (order-independent XOR)
 // — identical work at sweep_threads 1 vs 3 yields an identical combined
 // hash, and any single diverging simulation flips it.
 #pragma once
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "common/units.hpp"
+#include "obs/hub.hpp"
 
 namespace pimsim::des {
 
@@ -89,30 +91,25 @@ class AuditLog {
 [[nodiscard]] std::optional<std::uint64_t> first_divergence(const AuditLog& a,
                                                             const AuditLog& b);
 
+/// The registry's aggregate (AuditRegistry::Summary).
+struct AuditSummary {
+  std::uint64_t simulations = 0;  ///< audited Simulations absorbed
+  std::uint64_t events = 0;       ///< total events across them
+  std::uint64_t combined = 0;     ///< XOR of per-simulation chain hashes
+  [[nodiscard]] bool operator==(const AuditSummary&) const = default;
+};
+
 /// Process-wide, thread-safe accumulator of completed simulations'
 /// chains, combined commutatively so sweep-thread scheduling cannot
 /// affect the aggregate.  `pimsim verify audit=1` resets it, runs a
 /// figure at two thread counts, and compares snapshots.
-class AuditRegistry {
+class AuditRegistry : public obs::Hub<AuditRegistry, AuditSummary> {
  public:
-  struct Summary {
-    std::uint64_t simulations = 0;  ///< audited Simulations absorbed
-    std::uint64_t events = 0;       ///< total events across them
-    std::uint64_t combined = 0;     ///< XOR of per-simulation chain hashes
-    [[nodiscard]] bool operator==(const Summary&) const = default;
-  };
+  using Summary = AuditSummary;
 
   /// Folds one finished simulation's chain into the aggregate.
   void absorb(const AuditLog& log);
   [[nodiscard]] Summary snapshot() const;
-  void reset();
-
-  /// The process-wide instance every audited Simulation reports to.
-  [[nodiscard]] static AuditRegistry& global();
-
- private:
-  struct Impl;
-  [[nodiscard]] Impl& impl() const;
 };
 
 }  // namespace pimsim::des

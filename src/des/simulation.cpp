@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdlib>
-#include <string>
-#include <string_view>
 #include <utility>
 
 #include "common/error.hpp"
@@ -13,18 +10,9 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/session.hpp"
 
 namespace pimsim::des {
-
-namespace {
-
-/// True for any non-empty value except the literal "0".
-bool env_enabled(const char* value) {
-  return value != nullptr && value[0] != '\0' &&
-         !(value[0] == '0' && value[1] == '\0');
-}
-
-}  // namespace
 
 Simulation::Simulation() {
   // Start the per-event vectors at a working size, so a short run pays
@@ -33,34 +21,19 @@ Simulation::Simulation() {
   now_queue_.reserve(kInitialCapacity);
   heap_.reserve(kInitialCapacity);
   live_order_.reserve(kInitialCapacity);
-  // PIMSIM_AUDIT / PIMSIM_TRACE / PIMSIM_METRICS / PIMSIM_PROFILE turn the
-  // corresponding layer on for every simulation in the process — the seam
-  // `pimsim run ... audit=1 trace=... metrics=... profile=1` uses to reach
-  // simulations constructed deep inside figure generators.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env lookup; nothing
-  // in-process calls setenv concurrently with simulation construction.
-  if (env_enabled(std::getenv("PIMSIM_AUDIT"))) set_audit(true);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* trace_env = std::getenv("PIMSIM_TRACE");
-  if (env_enabled(trace_env)) {
-    set_trace(true);
+  // The active obs::Session's switches (else the PIMSIM_* environment)
+  // reach simulations constructed deep inside figure generators.
+  const obs::RunOptions options = obs::current_run_options();
+  set_audit(options.audit);
+  set_trace(options.trace);
+  if (options.trace) {
     // The per-event kernel kinds flood the bounded buffer on any
-    // non-trivial run, so the env-driven tracer masks them out unless
-    // explicitly asked for everything with PIMSIM_TRACE=full.
-    if (std::string_view(trace_env) != "full") {
-      owned_tracer_->set_kind_mask(Tracer::kDefaultKinds);
-    }
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* cap_env = std::getenv("PIMSIM_TRACE_CAP");
-    if (cap_env != nullptr && cap_env[0] != '\0') {
-      owned_tracer_->set_capacity(
-          static_cast<std::size_t>(std::strtoull(cap_env, nullptr, 10)));
-    }
+    // non-trivial run, so they stay masked out unless asked for.
+    if (!options.trace_full) owned_tracer_->set_kind_mask(Tracer::kDefaultKinds);
+    owned_tracer_->set_capacity(options.trace_cap);
   }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (env_enabled(std::getenv("PIMSIM_METRICS"))) set_metrics(true);
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (env_enabled(std::getenv("PIMSIM_PROFILE"))) set_profile(true);
+  set_metrics(options.metrics);
+  set_profile(options.profile);
 }
 
 Simulation::~Simulation() {

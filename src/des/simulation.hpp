@@ -180,9 +180,10 @@ class Simulation {
   // component self-checks keyed off audit_enabled() (the packet network
   // audits its credit ledgers).  When off, the cost is one predicted
   // branch per dispatch — the tracing_enabled() pattern, held to the
-  // bench_engine floors.  The PIMSIM_AUDIT=1 environment variable turns
-  // it on at construction, which is how `pimsim run/verify ... audit=1`
-  // reaches simulations buried inside figure generators.
+  // bench_engine floors.  The active obs::Session's RunOptions (else the
+  // PIMSIM_AUDIT=1 environment variable) turns it on at construction,
+  // which is how `pimsim run/verify ... audit=1` reaches simulations
+  // buried inside figure generators.
 
   /// Enables/disables audit mode.  Disabling discards the chain without
   /// reporting it to the AuditRegistry.
@@ -208,13 +209,15 @@ class Simulation {
   // Three independently switchable layers behind the same null-check
   // contract as audit mode (one predicted branch per hot-path action when
   // off): a simulation-owned Tracer feeding the Chrome-trace exporter
-  // (PIMSIM_TRACE / `trace=out.json`), a metrics registry components bind
-  // typed handles into (PIMSIM_METRICS / `metrics=out.json`), and a kernel
-  // self-profiler attributing dispatches to EventAction kinds
-  // (PIMSIM_PROFILE / `profile=1`).  At destruction each enabled layer is
-  // absorbed into its process-wide hub (obs::TraceHub, obs::MetricsHub,
-  // obs::ProfileHub) — how the CLI reaches simulations buried inside
-  // figure generators, mirroring the audit seam above.
+  // (`trace=out.json`), a metrics registry components bind typed handles
+  // into (`metrics=out.json`), and a kernel self-profiler attributing
+  // dispatches to EventAction kinds (`profile=1`).  The constructor
+  // applies obs::current_run_options() — the active obs::Session's, else
+  // PIMSIM_TRACE / PIMSIM_METRICS / PIMSIM_PROFILE (obs/session.hpp).  At
+  // destruction each enabled layer is absorbed into its process-wide hub
+  // (obs::TraceHub, obs::MetricsHub, obs::ProfileHub), which the session
+  // reports — how the CLI reaches simulations buried inside figure
+  // generators, exactly like the audit layer above.
 
   /// Enables/disables the owned tracer (absorbed into obs::TraceHub at
   /// destruction, unlike an external set_tracer() sink).

@@ -518,13 +518,31 @@ void rule_unguarded_trace(const Ruleset& r) {
   }
 }
 
+// --- process-env ---------------------------------------------------------
+
+void rule_process_env(const Ruleset& r) {
+  // Observability switches travel as obs::RunOptions through a Session;
+  // RunOptions::from_env is the one sanctioned reader of the environment.
+  if (r.path.find("src/") == std::string::npos) return;
+  for (const char* fn : {"getenv", "setenv", "unsetenv", "putenv"}) {
+    for (const std::size_t pos : token_occurrences(r.m.text, fn)) {
+      if (on_preprocessor_line(r.m, pos)) continue;
+      r.report("process-env", pos,
+               std::string(fn) +
+                   " reads or writes process-global state that leaks across "
+                   "runs and races with worker threads; pass obs::RunOptions "
+                   "through an obs::Session instead");
+    }
+  }
+}
+
 }  // namespace
 
 const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kRules = {
       "unordered-container", "unordered-iter", "raw-entropy",
       "mutable-static",      "const-cast",     "bad-allow",
-      "unguarded-trace",
+      "unguarded-trace",     "process-env",
   };
   return kRules;
 }
@@ -539,6 +557,7 @@ std::vector<Finding> lint_source(const std::string& path,
   rule_mutable_static(r);
   rule_unordered(r);
   rule_unguarded_trace(r);
+  rule_process_env(r);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               if (a.line != b.line) return a.line < b.line;

@@ -32,6 +32,12 @@
 //                        interning, registry lookups) is not free, so
 //                        the off path must stay one predicted branch
 //                        (src/obs/ and the Tracer itself are exempt).
+//   process-env          getenv/setenv/unsetenv/putenv in src/ — the
+//                        environment is process-global, leaks from one
+//                        run into the next, and setenv races with worker
+//                        threads; observability switches travel as
+//                        obs::RunOptions (only RunOptions::from_env may
+//                        read PIMSIM_*).
 //
 // Suppressions: a comment of the form `// lint:allow(const-cast): why
 // it is safe` — any rule id, comma-separate several — on the same line

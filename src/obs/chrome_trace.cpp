@@ -3,28 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <set>
+
+#include "common/json.hpp"
 
 namespace pimsim::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
 
 // Canonical bytes for one blob; used to order blobs deterministically.
 std::string serialize(const TraceBlob& blob) {
@@ -95,7 +81,7 @@ void write_blob(std::ostream& os, bool& first, int pid, const TraceBlob& blob) {
 
 }  // namespace
 
-void write_chrome_trace(std::ostream& os, const std::vector<TraceBlob>& blobs) {
+TraceTotals write_chrome_trace(std::ostream& os, const std::vector<TraceBlob>& blobs) {
   const auto old_precision = os.precision(std::numeric_limits<double>::max_digits10);
   // Order blobs by content so pid assignment ignores completion order.
   std::vector<std::string> keys;
@@ -106,87 +92,36 @@ void write_chrome_trace(std::ostream& os, const std::vector<TraceBlob>& blobs) {
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return keys[a] < keys[b]; });
 
-  std::uint64_t records = 0;
-  std::uint64_t dropped = 0;
+  TraceTotals totals{blobs.size(), 0, 0};
   os << "{\n  \"traceEvents\": [";
   bool first = true;
   int pid = 0;
   for (const std::size_t k : order) {
     ++pid;
     write_blob(os, first, pid, blobs[k]);
-    records += blobs[k].records.size();
-    dropped += blobs[k].dropped;
+    totals.records += blobs[k].records.size();
+    totals.dropped += blobs[k].dropped;
   }
   os << "\n  ],\n  \"displayTimeUnit\": \"ns\",\n  \"pimsim\": {\"schema\": "
         "\"pimsim-trace-v1\", \"simulations\": "
-     << blobs.size() << ", \"records\": " << records << ", \"dropped\": " << dropped
-     << "}\n}\n";
+     << totals.simulations << ", \"records\": " << totals.records
+     << ", \"dropped\": " << totals.dropped << "}\n}\n";
   os.precision(old_precision);
+  return totals;
 }
 
 // ---------------------------------------------------------------------------
 // TraceHub
 
-struct TraceHub::Impl {
-  mutable std::mutex mutex;
-  std::vector<TraceBlob> blobs;
-};
-
-TraceHub::Impl& TraceHub::impl() {
-  // lint:allow(mutable-static): process-scoped by design, mutex-serialized
-  static Impl instance;
-  return instance;
-}
-
-TraceHub& TraceHub::global() {
-  // lint:allow(mutable-static): stateless handle to the Impl singleton above
-  static TraceHub hub;
-  return hub;
-}
-
 void TraceHub::absorb(const des::Tracer& tracer) {
   TraceBlob blob{tracer.labels(), tracer.records(), tracer.dropped()};
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  i.blobs.push_back(std::move(blob));
+  absorb_with([&blob](std::vector<TraceBlob>& blobs) { blobs.push_back(std::move(blob)); });
 }
 
-std::uint64_t TraceHub::simulations() const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  return i.blobs.size();
-}
-
-std::uint64_t TraceHub::records() const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  std::uint64_t n = 0;
-  for (const TraceBlob& b : i.blobs) n += b.records.size();
-  return n;
-}
-
-std::uint64_t TraceHub::dropped() const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  std::uint64_t n = 0;
-  for (const TraceBlob& b : i.blobs) n += b.dropped;
-  return n;
-}
-
-void TraceHub::write_json(std::ostream& os) const {
-  std::vector<TraceBlob> blobs;
-  {
-    Impl& i = impl();
-    const std::lock_guard<std::mutex> lock(i.mutex);
-    blobs = i.blobs;
-  }
-  write_chrome_trace(os, blobs);
-}
-
-void TraceHub::reset() {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  i.blobs.clear();
+TraceTotals TraceHub::write_json(std::ostream& os) const {
+  return write_chrome_trace(os, read([](const std::vector<TraceBlob>& blobs, std::uint64_t) {
+                       return blobs;
+                     }));
 }
 
 }  // namespace pimsim::obs

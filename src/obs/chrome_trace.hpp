@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "des/trace.hpp"
+#include "obs/hub.hpp"
 
 namespace pimsim::obs {
 
@@ -31,29 +32,23 @@ struct TraceBlob {
   std::uint64_t dropped = 0;
 };
 
-/// Writes `blobs` as a Chrome trace JSON document ({"traceEvents": [...]}).
-void write_chrome_trace(std::ostream& os, const std::vector<TraceBlob>& blobs);
+/// What a trace document holds, summed over its blobs.
+struct TraceTotals {
+  std::uint64_t simulations = 0;
+  std::uint64_t records = 0;
+  std::uint64_t dropped = 0;
+};
 
-/// Process-wide collection point for finished simulations' trace buffers,
-/// mirroring AuditRegistry / MetricsHub.
-class TraceHub {
+/// Writes `blobs` as a Chrome trace JSON document ({"traceEvents": [...]}).
+TraceTotals write_chrome_trace(std::ostream& os, const std::vector<TraceBlob>& blobs);
+
+/// Process-wide collection point for finished simulations' trace buffers.
+class TraceHub : public Hub<TraceHub, std::vector<TraceBlob>> {
  public:
   void absorb(const des::Tracer& tracer);
 
-  [[nodiscard]] std::uint64_t simulations() const;
-  [[nodiscard]] std::uint64_t records() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-
   /// Exports every absorbed blob, fingerprint-sorted (deterministic).
-  void write_json(std::ostream& os) const;
-
-  void reset();
-
-  [[nodiscard]] static TraceHub& global();
-
- private:
-  struct Impl;
-  [[nodiscard]] static Impl& impl();
+  TraceTotals write_json(std::ostream& os) const;
 };
 
 }  // namespace pimsim::obs

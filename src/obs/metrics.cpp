@@ -4,11 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <ostream>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace pimsim::obs {
 
@@ -34,21 +34,6 @@ void put_u64(std::string& out, std::uint64_t v) {
 }
 
 void put_f64(std::string& out, double v) { put_u64(out, std::bit_cast<std::uint64_t>(v)); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out.push_back(c); break;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -345,42 +330,17 @@ std::uint64_t MetricsRegistry::fingerprint() const { return fnv1a(serialize()); 
 // ---------------------------------------------------------------------------
 // MetricsHub
 
-struct MetricsHub::Impl {
-  mutable std::mutex mutex;
-  std::vector<MetricsRegistry> snapshots;
-};
-
-MetricsHub::Impl& MetricsHub::impl() {
-  // lint:allow(mutable-static): process-scoped by design, mutex-serialized
-  static Impl instance;
-  return instance;
-}
-
-MetricsHub& MetricsHub::global() {
-  // lint:allow(mutable-static): stateless handle to the Impl singleton above
-  static MetricsHub hub;
-  return hub;
-}
-
 void MetricsHub::absorb(const MetricsRegistry& registry) {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  i.snapshots.push_back(registry);
-}
-
-std::uint64_t MetricsHub::simulations() const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  return i.snapshots.size();
+  absorb_with([&registry](std::vector<MetricsRegistry>& snapshots) {
+    snapshots.push_back(registry);
+  });
 }
 
 MetricsRegistry MetricsHub::aggregate() const {
-  std::vector<MetricsRegistry> snaps;
-  {
-    Impl& i = impl();
-    const std::lock_guard<std::mutex> lock(i.mutex);
-    snaps = i.snapshots;
-  }
+  const std::vector<MetricsRegistry> snaps =
+      read([](const std::vector<MetricsRegistry>& snapshots, std::uint64_t) {
+        return snapshots;
+      });
   // Sort snapshots by canonical content before folding: any arrival
   // permutation (threaded sweeps finish in nondeterministic order) yields
   // the same fold order, so floating-point merges are bitwise identical.
@@ -397,13 +357,13 @@ MetricsRegistry MetricsHub::aggregate() const {
 }
 
 std::vector<std::string> MetricsHub::snapshot_bytes() const {
-  std::vector<std::string> out;
-  {
-    Impl& i = impl();
-    const std::lock_guard<std::mutex> lock(i.mutex);
-    out.reserve(i.snapshots.size());
-    for (const MetricsRegistry& r : i.snapshots) out.push_back(r.serialize());
-  }
+  std::vector<std::string> out =
+      read([](const std::vector<MetricsRegistry>& snapshots, std::uint64_t) {
+        std::vector<std::string> bytes;
+        bytes.reserve(snapshots.size());
+        for (const MetricsRegistry& r : snapshots) bytes.push_back(r.serialize());
+        return bytes;
+      });
   // Sorted so the sidecar bytes do not depend on which sweep thread's
   // simulation finished first (the fold re-sorts anyway).
   std::sort(out.begin(), out.end());
@@ -419,11 +379,5 @@ void MetricsHub::write_json(std::ostream& os) const {
 }
 
 void MetricsHub::write_csv(std::ostream& os) const { aggregate().write_csv(os); }
-
-void MetricsHub::reset() {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  i.snapshots.clear();
-}
 
 }  // namespace pimsim::obs

@@ -1,6 +1,7 @@
 // Metrics registry: named counters, time-weighted gauges, and streaming
 // summaries that simulator components register into when metrics are
-// enabled (`PIMSIM_METRICS=1` / `metrics=out.json` on the CLI).
+// enabled (`metrics=out.json` on the CLI, an obs::Session with
+// RunOptions::metrics, or PIMSIM_METRICS=1 for embedded callers).
 //
 // Design constraints, in order:
 //  * Zero cost when off — components hold null handles and the hot path is
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "obs/hub.hpp"
 
 namespace pimsim::obs {
 
@@ -168,12 +170,9 @@ class MetricsRegistry {
 /// absorbs its registry here at destruction; `aggregate()` folds the
 /// snapshots into one registry in fingerprint-sorted order, so the result
 /// is bitwise identical no matter which thread finished first.
-class MetricsHub {
+class MetricsHub : public Hub<MetricsHub, std::vector<MetricsRegistry>> {
  public:
   void absorb(const MetricsRegistry& registry);
-
-  /// Number of absorbed registries (simulations).
-  [[nodiscard]] std::uint64_t simulations() const;
 
   /// Deterministic fold of every absorbed registry.
   [[nodiscard]] MetricsRegistry aggregate() const;
@@ -188,14 +187,6 @@ class MetricsHub {
 
   void write_json(std::ostream& os) const;
   void write_csv(std::ostream& os) const;
-
-  void reset();
-
-  [[nodiscard]] static MetricsHub& global();
-
- private:
-  struct Impl;
-  [[nodiscard]] static Impl& impl();
 };
 
 }  // namespace pimsim::obs

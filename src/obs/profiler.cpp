@@ -1,7 +1,6 @@
 #include "obs/profiler.hpp"
 
 #include <iomanip>
-#include <mutex>
 #include <ostream>
 
 namespace pimsim::obs {
@@ -40,48 +39,12 @@ void KernelProfiler::merge(const KernelProfiler& other) {
 // ---------------------------------------------------------------------------
 // ProfileHub
 
-struct ProfileHub::Impl {
-  mutable std::mutex mutex;
-  KernelProfiler merged;
-  std::uint64_t simulations = 0;
-};
-
-ProfileHub::Impl& ProfileHub::impl() {
-  // lint:allow(mutable-static): process-scoped by design, mutex-serialized
-  static Impl instance;
-  return instance;
-}
-
-ProfileHub& ProfileHub::global() {
-  // lint:allow(mutable-static): stateless handle to the Impl singleton above
-  static ProfileHub hub;
-  return hub;
-}
-
 void ProfileHub::absorb(const KernelProfiler& profiler) {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  i.merged.merge(profiler);
-  ++i.simulations;
-}
-
-std::uint64_t ProfileHub::simulations() const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  return i.simulations;
+  absorb_with([&profiler](KernelProfiler& merged) { merged.merge(profiler); });
 }
 
 KernelProfiler ProfileHub::snapshot() const {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  return i.merged;
-}
-
-void ProfileHub::reset() {
-  Impl& i = impl();
-  const std::lock_guard<std::mutex> lock(i.mutex);
-  i.merged = KernelProfiler{};
-  i.simulations = 0;
+  return read([](const KernelProfiler& merged, std::uint64_t) { return merged; });
 }
 
 void ProfileHub::write_table(std::ostream& os) const {

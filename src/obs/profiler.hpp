@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <iosfwd>
 
+#include "obs/hub.hpp"
+
 namespace pimsim::obs {
 
 /// Per-simulation profile accumulator, driven by Simulation::dispatch.
@@ -60,24 +62,16 @@ class KernelProfiler {
   std::array<KindStats, kKinds> stats_{};
 };
 
-/// Process-wide collection point, mirroring AuditRegistry / MetricsHub.
-class ProfileHub {
+/// Process-wide collection point: every profiled simulation's counts,
+/// merged.
+class ProfileHub : public Hub<ProfileHub, KernelProfiler> {
  public:
   void absorb(const KernelProfiler& profiler);
 
-  [[nodiscard]] std::uint64_t simulations() const;
   [[nodiscard]] KernelProfiler snapshot() const;
 
   /// Human-readable per-kind table (counts exact, seconds estimated).
   void write_table(std::ostream& os) const;
-
-  void reset();
-
-  [[nodiscard]] static ProfileHub& global();
-
- private:
-  struct Impl;
-  [[nodiscard]] static Impl& impl();
 };
 
 }  // namespace pimsim::obs

@@ -14,6 +14,7 @@
 #include "des/audit.hpp"
 #include "des/process.hpp"
 #include "des/simulation.hpp"
+#include "obs/session.hpp"
 #include "parcel/network.hpp"
 #include "parcel/runtime.hpp"
 
@@ -352,9 +353,11 @@ TEST(AuditMode, InvariantSweepCatchesKeyOrderBreakInsideOneBucket) {
 }
 
 TEST(AuditMode, Fig12RegistryChainIdenticalAcrossSweepThreads) {
-  // The env seam is how `pimsim verify audit=1` reaches simulations
-  // constructed inside figure generators on sweep worker threads.
-  ::setenv("PIMSIM_AUDIT", "1", 1);
+  // Simulations constructed inside figure generators on sweep worker
+  // threads pick the audit switch up two ways: from an obs::Session (how
+  // `pimsim verify audit=1` reaches them) and, with no session active,
+  // from PIMSIM_AUDIT (the embedded-caller path).  Both must give one
+  // chain, at any thread count.
   core::ParcelFigureConfig cfg;
   cfg.base.horizon = 2'000.0;
   cfg.base.seed = 7;
@@ -368,13 +371,29 @@ TEST(AuditMode, Fig12RegistryChainIdenticalAcrossSweepThreads) {
     core::make_fig12(c).print_csv(os);
     return des::AuditRegistry::global().snapshot();
   };
-  const auto serial = chain_of(1);
-  const auto parallel = chain_of(3);
-  ::unsetenv("PIMSIM_AUDIT");
+  des::AuditRegistry::Summary serial, parallel;
+  {
+    const obs::Session session({.audit = true});
+    serial = chain_of(1);
+    parallel = chain_of(3);
+  }
   EXPECT_GT(serial.simulations, 0u);
   EXPECT_GT(serial.events, 0u);
   EXPECT_TRUE(serial == parallel);
   EXPECT_EQ(serial.combined, parallel.combined);
+
+  // The env is read at every construction, so an embedded caller can
+  // toggle a layer between runs (perfbench does, for PIMSIM_METRICS).
+  ::setenv("PIMSIM_AUDIT", "1", 1);
+  ::setenv("PIMSIM_METRICS", "1", 1);
+  EXPECT_TRUE(des::Simulation{}.metrics_enabled());
+  const auto env_serial = chain_of(1);
+  const auto env_parallel = chain_of(3);
+  ::unsetenv("PIMSIM_AUDIT");
+  ::unsetenv("PIMSIM_METRICS");
+  EXPECT_FALSE(des::Simulation{}.metrics_enabled());
+  EXPECT_TRUE(env_serial == serial);
+  EXPECT_TRUE(env_parallel == serial);
 }
 
 }  // namespace

@@ -203,6 +203,30 @@ TEST(LintRules, UnguardedTraceScopeAndExemptions) {
                   .empty());
 }
 
+// --- process-env ---------------------------------------------------------
+
+TEST(LintRules, ProcessEnvFiresInSrcOnReadsAndWrites) {
+  const auto f = lint_source("src/x.cpp",
+                             "const char* v = std::getenv(\"PIMSIM_AUDIT\");\n"
+                             "void on() { ::setenv(\"PIMSIM_METRICS\", \"1\", 1); }\n");
+  ASSERT_EQ(f.size(), 2u);
+  EXPECT_EQ(f[0].rule, "process-env");
+  EXPECT_EQ(f[0].line, 1);
+  EXPECT_EQ(f[1].rule, "process-env");
+  EXPECT_EQ(f[1].line, 2);
+  // Tests and tools set the environment on purpose (embedded-caller
+  // contract tests); the rule covers the library only.
+  EXPECT_TRUE(lint_source("tests/x.cpp", "void f() { ::unsetenv(\"X\"); }\n").empty());
+}
+
+TEST(LintRules, ProcessEnvAllowedWithReason) {
+  const auto f = lint_source(
+      "src/obs/session.cpp",
+      "// lint:allow(process-env): the one reader of the PIMSIM_* switches\n"
+      "const char* v = std::getenv(name);\n");
+  EXPECT_TRUE(f.empty());
+}
+
 // --- suppressions --------------------------------------------------------
 
 TEST(LintSuppressions, AllowOnSameLineOrLineAboveSilences) {
@@ -269,10 +293,11 @@ TEST(LintOutput, FindingsAreLineSortedAndRenderable) {
 
 TEST(LintOutput, RuleIdsAreStable) {
   const auto& ids = rule_ids();
-  EXPECT_EQ(ids.size(), 7u);
+  EXPECT_EQ(ids.size(), 8u);
   EXPECT_NE(std::find(ids.begin(), ids.end(), "unordered-iter"), ids.end());
   EXPECT_NE(std::find(ids.begin(), ids.end(), "bad-allow"), ids.end());
   EXPECT_NE(std::find(ids.begin(), ids.end(), "unguarded-trace"), ids.end());
+  EXPECT_NE(std::find(ids.begin(), ids.end(), "process-env"), ids.end());
 }
 
 }  // namespace

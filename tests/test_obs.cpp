@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/session.hpp"
 
 namespace pimsim::obs {
 namespace {
@@ -311,6 +314,116 @@ TEST(ChromeTrace, DropCounterReachesDocumentMetadata) {
                                     tracer.dropped()}});
   EXPECT_TRUE(json_balanced(os.str()));
   EXPECT_NE(os.str().find("\"dropped\": 3"), std::string::npos);
+}
+
+// --- run options and sessions --------------------------------------------
+
+/// Sets (or, with nullopt, unsets) one environment variable for a scope,
+/// restoring the previous value on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, std::optional<std::string> value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    put(value);
+  }
+  ~ScopedEnv() { put(old_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  void put(const std::optional<std::string>& value) {
+    if (value) {
+      ::setenv(name_, value->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+TEST(RunOptions, FromEnvReadsEveryPimsimSwitch) {
+  const ScopedEnv audit("PIMSIM_AUDIT", "1");
+  const ScopedEnv trace("PIMSIM_TRACE", "full");
+  const ScopedEnv cap("PIMSIM_TRACE_CAP", std::nullopt);
+  const ScopedEnv metrics("PIMSIM_METRICS", "0");  // "0" means off
+  const ScopedEnv profile("PIMSIM_PROFILE", "");   // so does empty
+  const RunOptions o = RunOptions::from_env();
+  EXPECT_TRUE(o.audit);
+  EXPECT_TRUE(o.trace);
+  EXPECT_TRUE(o.trace_full);
+  EXPECT_EQ(o.trace_cap, des::Tracer::kDefaultCapacity);
+  EXPECT_FALSE(o.metrics);
+  EXPECT_FALSE(o.profile);
+}
+
+TEST(RunOptions, TraceCapRejectsJunkNamingVariableAndValue) {
+  const ScopedEnv trace("PIMSIM_TRACE", "1");
+  for (const char* bad : {"abc", "-1", "18446744073709551616", "12x", " 7"}) {
+    const ScopedEnv cap("PIMSIM_TRACE_CAP", bad);
+    try {
+      (void)RunOptions::from_env();
+      ADD_FAILURE() << "PIMSIM_TRACE_CAP=" << bad << " was accepted";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PIMSIM_TRACE_CAP"), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+    }
+    // An embedded caller's simulation fails loudly too, instead of
+    // silently dropping every record (or never bounding the buffer).
+    EXPECT_THROW(des::Simulation{}, ConfigError) << bad;
+  }
+}
+
+TEST(RunOptions, TraceCapAcceptsARecordCount) {
+  const ScopedEnv trace("PIMSIM_TRACE", "1");
+  const ScopedEnv cap("PIMSIM_TRACE_CAP", "4096");
+  EXPECT_EQ(RunOptions::from_env().trace_cap, 4096u);
+  const des::Simulation sim;
+  ASSERT_NE(sim.tracer(), nullptr);
+  EXPECT_EQ(sim.tracer()->capacity(), 4096u);
+}
+
+TEST(Session, WinsOverEnvWhileActiveThenEnvAppliesAgain) {
+  const ScopedEnv metrics("PIMSIM_METRICS", "1");
+  const ScopedEnv profile("PIMSIM_PROFILE", std::nullopt);
+  EXPECT_TRUE(des::Simulation{}.metrics_enabled());
+  {
+    const Session outer({.profile = true});
+    const des::Simulation in_outer;
+    EXPECT_FALSE(in_outer.metrics_enabled());
+    EXPECT_TRUE(in_outer.profile_enabled());
+    {
+      const Session inner({.audit = true});
+      const des::Simulation in_inner;
+      EXPECT_TRUE(in_inner.audit_enabled());
+      EXPECT_FALSE(in_inner.profile_enabled());
+      EXPECT_FALSE(in_inner.metrics_enabled());
+    }
+    EXPECT_TRUE(des::Simulation{}.profile_enabled());  // outer is back
+  }
+  const des::Simulation after;
+  EXPECT_TRUE(after.metrics_enabled());
+  EXPECT_FALSE(after.profile_enabled());
+}
+
+TEST(Session, ReachesWorkerThreadsAndReportsTheirHubs) {
+  const ScopedEnv profile("PIMSIM_PROFILE", std::nullopt);
+  const Session session({.audit = true, .profile = true});
+  EXPECT_EQ(ProfileHub::global().simulations(), 0u);  // reset on entry
+  std::thread worker([] {
+    des::Simulation sim;
+    sim.schedule_at(1.0, [] {});
+    sim.run();
+  });
+  worker.join();
+  std::ostringstream os;
+  session.report(os);
+  EXPECT_EQ(os.str().rfind("# audit: 1 simulation(s), 1 event(s), chain ", 0), 0u)
+      << os.str();
+  EXPECT_NE(os.str().find("# kernel profile: 1 simulation(s), 1 dispatches"),
+            std::string::npos)
+      << os.str();
 }
 
 // --- kernel profiler -----------------------------------------------------

@@ -7,6 +7,7 @@
 // non-integer count fields are detected, not merged.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -22,6 +23,7 @@
 #include "core/chunk.hpp"
 #include "core/cli.hpp"
 #include "core/sweep.hpp"
+#include "des/simulation.hpp"
 
 namespace pimsim::core {
 namespace {
@@ -406,6 +408,30 @@ TEST_F(ShardEndToEnd, ShardWithoutOutDirAndBadDirAreRejected) {
             0);  // shard= requires out=DIR
   EXPECT_NE(run_cli({"merge", (root_ / "nonexistent").string()}), 0);
   EXPECT_NE(run_cli({"merge", root_.string()}), 0);  // no manifest.json
+}
+
+TEST_F(ShardEndToEnd, ObservabilitySwitchesDoNotOutliveTheCommand) {
+  // In-process callers (these tests, perfbench) run commands back to
+  // back: a command's audit/trace/metrics/profile switches must end with
+  // it, leaving the environment and every later Simulation untouched.
+  constexpr const char* kVars[] = {"PIMSIM_AUDIT", "PIMSIM_TRACE",
+                                   "PIMSIM_METRICS", "PIMSIM_PROFILE"};
+  for (const char* var : kVars) ::unsetenv(var);
+  int rc = 0;
+  (void)run_cli_stderr(
+      {"run", "memory_contention", "ops=20000", "nodes=2", "banks=1,2",
+       "audit=1", "profile=1", "format=csv", "out=" + (root_ / "run.csv").string(),
+       "trace=" + (root_ / "t.json").string(),
+       "metrics=" + (root_ / "m.json").string()},
+      &rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(run_shard(0, 2, "chunks"), 0);
+  for (const char* var : kVars) EXPECT_EQ(std::getenv(var), nullptr) << var;
+  const des::Simulation sim;
+  EXPECT_FALSE(sim.audit_enabled());
+  EXPECT_FALSE(sim.tracing_enabled());
+  EXPECT_FALSE(sim.metrics_enabled());
+  EXPECT_FALSE(sim.profile_enabled());
 }
 
 }  // namespace
