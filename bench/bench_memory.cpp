@@ -8,6 +8,9 @@
 //             bank (row misses, still uncontended)
 //   hotspot   banked, every node hammers node 0's bank (worst-case FIFO
 //             queueing and waiter-ring churn)
+//   exclusive banked, the strided stream on private banks retired
+//             synchronously (MemorySystem::retire) on each node's local
+//             clock: the exclusive-bank lookahead path, no event per access
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
 // always build it.  Each cell runs `reps` times; every repetition lands
@@ -64,6 +67,20 @@ des::Process stream(des::Simulation& sim, const mem::MemorySystem& memory,
   }
 }
 
+/// The closed-loop retire stream: same addresses as `strided`, one
+/// wake-up at the end instead of one event per access.
+des::Process retire_stream(des::Simulation& sim,
+                           const mem::MemorySystem& memory, std::size_t node,
+                           const BenchParams& p) {
+  std::uint64_t addr = static_cast<std::uint64_t>(node) << 32;
+  SimTime t = sim.now();
+  for (int i = 0; i < p.accesses; ++i) {
+    t += memory.retire(sim, node, addr, mem::AccessKind::kLwpRow, t);
+    addr += 32;
+  }
+  co_await des::wait_until(sim, t);
+}
+
 Sample run_cell(const std::string& pattern, const BenchParams& p) {
   mem::MemoryConfig mc;
   mc.kind = pattern == "analytic" ? "analytic" : "banked";
@@ -72,7 +89,11 @@ Sample run_cell(const std::string& pattern, const BenchParams& p) {
   des::Simulation sim;
   Rng root(2026, 0x3D);
   for (std::size_t n = 0; n < p.nodes; ++n) {
-    sim.spawn(stream(sim, *memory, n, root.split(n), p, pattern));
+    if (pattern == "exclusive") {
+      sim.spawn(retire_stream(sim, *memory, n, p));
+    } else {
+      sim.spawn(stream(sim, *memory, n, root.split(n), p, pattern));
+    }
   }
   const auto start = std::chrono::steady_clock::now();
   sim.run();
@@ -108,7 +129,8 @@ int main(int argc, char** argv) {
                     " accesses/node, best of " + std::to_string(reps) + ")",
                 {"Pattern", "accesses", "wall s", "accesses/s", "sim cycles",
                  "row-hit %"});
-    for (const char* pattern : {"analytic", "strided", "uniform", "hotspot"}) {
+    for (const char* pattern : {"analytic", "strided", "uniform", "hotspot",
+                                "exclusive"}) {
       bench::BenchCell cell{pattern, {}};
       Sample best{};
       for (std::size_t rep = 0; rep < reps; ++rep) {

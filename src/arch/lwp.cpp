@@ -48,32 +48,44 @@ des::Process Lwp::run_batched(std::uint64_t ops) {
 }
 
 des::Process Lwp::run_contended(std::uint64_t ops) {
-  // Per-access path: compute runs are still aggregated (they cannot
-  // conflict), but each memory access is issued through the seam, where
-  // it queues at its home bank behind other accessors.
+  // Per-access path on a local clock `t`: compute runs are aggregated
+  // (they cannot conflict) and each memory access goes through the seam.
+  // On a shared bank the process meets the kernel before every access,
+  // which then queues at its home bank behind other accessors.  On an
+  // exclusive bank nothing can queue, so the access retires on the spot
+  // and the stream meets the kernel once, at its end (lookahead).
+  const bool exclusive = memory_->exclusive(node_);
   std::uint64_t addr = static_cast<std::uint64_t>(node_) * kNodeRegionBytes;
   std::uint64_t remaining = ops;
+  SimTime t = sim_.now();
   while (remaining > 0) {
     // Length of the compute run until the next memory access.
     const std::uint64_t gap = rng_.geometric(params_.ls_mix);
     const std::uint64_t compute = std::min(gap, remaining);
     if (compute > 0) {
-      co_await des::delay(sim_, static_cast<double>(compute) * params_.tl_cycle);
+      t += static_cast<double>(compute) * params_.tl_cycle;
       counts_.ops += compute;
       counts_.busy_cycles += static_cast<double>(compute) * params_.tl_cycle;
       remaining -= compute;
     }
     if (remaining == 0) break;
 
-    const SimTime start = sim_.now();
-    co_await mem::AccessAwaitable{*memory_, sim_, node_, addr,
-                                  mem::AccessKind::kLwpRow};
+    const SimTime start = t;
+    if (exclusive) {
+      t += memory_->retire(sim_, node_, addr, mem::AccessKind::kLwpRow, t);
+    } else {
+      co_await des::wait_until(sim_, t);
+      co_await mem::AccessAwaitable{*memory_, sim_, node_, addr,
+                                    mem::AccessKind::kLwpRow};
+      t = sim_.now();
+    }
     addr += kAccessStrideBytes;
     counts_.ops += 1;
     counts_.mem_ops += 1;
-    counts_.busy_cycles += sim_.now() - start;  // includes bank queueing
+    counts_.busy_cycles += t - start;  // includes bank queueing
     remaining -= 1;
   }
+  co_await des::wait_until(sim_, t);
 }
 
 }  // namespace pimsim::arch

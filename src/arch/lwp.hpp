@@ -7,7 +7,12 @@
 // backend) the paper's contention-free model is reproduced bitwise via
 // batched charging; a contended backend (memory=banked) switches to
 // per-access issue so bank queueing and shared-port arbitration are
-// visible — the bank-conflict ablation's measurement path.
+// visible — the bank-conflict ablation's measurement path.  That path
+// keeps a local clock: on a bank other nodes can reach it meets the
+// kernel before every access, but on an exclusive bank
+// (MemorySystem::exclusive) it retires each access synchronously through
+// MemorySystem::retire and dispatches one wake-up when its share ends —
+// the same times and statistics, without an event per access.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,8 @@ class Lwp {
   /// `memory == nullptr` (or an uncontended backend) reproduces the
   /// paper's contention-free model with batched charging.  A contended
   /// backend issues every access individually from `node` (use small op
-  /// counts: that path is per-access, not batched).
+  /// counts: that path is per-access, not batched, unless `node` has an
+  /// exclusive bank).
   Lwp(des::Simulation& sim, const SystemParams& params, Rng rng,
       std::uint64_t batch_ops = 100'000,
       const mem::MemorySystem* memory = nullptr, std::size_t node = 0);

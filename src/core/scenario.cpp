@@ -390,6 +390,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"",
       /*verify_fingerprint=*/0x618fa6123635a29eull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -400,6 +401,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       [](const Config&) { return make_bandwidth_table(); },
       /*verify_params=*/"",
       /*verify_fingerprint=*/0xd9a7be0ca6ad39f6ull,
+      /*cost_hint=*/nullptr,
   });
 
   // --- Section 3: host + PIM array ---------------------------------------
@@ -510,6 +512,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"maxnodes=16",
       /*verify_fingerprint=*/0xd314d3561be83107ull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -540,6 +543,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"ops=500000 batch=10000 maxnodes=8",
       /*verify_fingerprint=*/0x4c6661ef681b5039ull,
+      /*cost_hint=*/nullptr,
   });
 
   // --- Section 4: parcels -------------------------------------------------
@@ -711,6 +715,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"ops=20000",
       /*verify_fingerprint=*/0xcfda9e606482a39eull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -756,6 +761,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"",
       /*verify_fingerprint=*/0xfce7c0ef4093f9bfull,
+      /*cost_hint=*/nullptr,
   });
 
   // --- ablations of the paper's modeling assumptions ----------------------
@@ -800,6 +806,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       // slightly differently from the old shared-Resource wait queue
       // (shared-bank makespans moved by < 0.01%; private banks exact).
       /*verify_fingerprint=*/0x5c3713859111d0c9ull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -894,6 +901,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"nodes=16 horizon=8000",
       /*verify_fingerprint=*/0xf1dba985cc2c3846ull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -931,6 +939,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"horizon=8000",
       /*verify_fingerprint=*/0x5fdcd0b7fb16b795ull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -973,6 +982,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"ops=400000",
       /*verify_fingerprint=*/0xdd5c988e5f162882ull,
+      /*cost_hint=*/nullptr,
   });
 
   registry.add(Scenario{
@@ -1016,6 +1026,7 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       },
       /*verify_params=*/"horizon=8000",
       /*verify_fingerprint=*/0x97301bd4aa8cade9ull,
+      /*cost_hint=*/nullptr,
   });
 
   // --- traffic studies ----------------------------------------------------

@@ -275,6 +275,33 @@ class [[nodiscard]] DelayAwaitable {
   return DelayAwaitable(sim, 0.0);
 }
 
+/// Awaitable that wakes the awaiting process at absolute time `at`.
+class [[nodiscard]] WaitUntilAwaitable {
+ public:
+  WaitUntilAwaitable(Simulation& sim, SimTime at) : sim_(sim), at_(at) {}
+  bool await_ready() const {
+    ensure(at_ >= sim_.now(), "des::wait_until: time is in the past");
+    return at_ == sim_.now();
+  }
+  void await_suspend(std::coroutine_handle<> h) {
+    (void)sim_.resume_at(at_, h);
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Simulation& sim_;
+  SimTime at_;
+};
+
+/// co_await wait_until(sim, t): suspend until absolute time t >= now().
+/// Unlike delay(), t == now() does not suspend at all, so a process that
+/// keeps its own clock (a lookahead loop) can meet the kernel at the time
+/// it reached without a same-time yield; t < now() throws LogicError.
+[[nodiscard]] inline WaitUntilAwaitable wait_until(Simulation& sim,
+                                                   SimTime t) {
+  return WaitUntilAwaitable(sim, t);
+}
+
 /// Broadcast trigger: processes co_await wait(); fire() wakes all of them.
 /// Waiters queue in an intrusive FIFO threaded through their awaitables.
 class Trigger {

@@ -35,6 +35,8 @@ struct ContentionMemory::Engine {
     bool busy = false;     ///< a request is in service at this bank
     bool parked = false;   ///< waiting in the port ring for a free port
     DramBank rows;         ///< open-row state, statistics only
+    /// Completion time of the last access retire()d here.
+    SimTime reserved_until = 0.0;
     // Queue-occupancy conservation (audit mode): everything that entered
     // must be queued, in service, or completed.
     std::uint64_t enqueued = 0;
@@ -62,7 +64,7 @@ struct ContentionMemory::Engine {
   std::vector<des::LabelId> bank_trace_labels;
 
   Engine(des::Simulation& s, const ContentionMemory& m)
-      : sim(s), owner(m), map(m.access_map()), ports(m.cfg_.resolved_ports()) {
+      : sim(s), owner(m), map(m.map_), ports(m.cfg_.resolved_ports()) {
     banks.resize(m.cfg_.resolved_banks());
     for (auto& b : banks) b.rows = DramBank(m.cfg_.spec);
     ring.resize(banks.size());
@@ -169,6 +171,27 @@ struct ContentionMemory::Engine {
     if (sim.audit_enabled()) audit_check(r.bank);
   }
 
+  /// The exclusive-bank path: one access charged on the caller's clock.
+  Cycles retire(std::uint32_t bank_idx, std::uint64_t row, AccessKind kind,
+                SimTime at) {
+    Bank& b = banks[bank_idx];
+    ensure(owner.exclusive_bank_[bank_idx],
+           "ContentionMemory::retire: node shares its bank or a port");
+    ensure(b.qlen == 0 && !b.busy,
+           "ContentionMemory::retire: bank has a request queued or in "
+           "service");
+    ensure(at >= sim.now() && at >= b.reserved_until,
+           "ContentionMemory::retire: access issued out of stream order");
+    ++b.enqueued;
+    ++b.completed;
+    ++total_accesses;
+    (void)b.rows.access_ns(row);  // open-row hit/miss statistics only
+    const Cycles latency = owner.zero_load_latency(kind);
+    b.reserved_until = at + latency;
+    if (sim.audit_enabled()) audit_check(bank_idx);
+    return latency;
+  }
+
   static void on_complete(void* ctx, std::uint64_t idx64, std::uint64_t) {
     auto& e = *static_cast<Engine*>(ctx);
     const auto idx = static_cast<std::uint32_t>(idx64);
@@ -205,6 +228,16 @@ struct ContentionMemory::Engine {
 ContentionMemory::ContentionMemory(MemoryConfig config)
     : cfg_(std::move(config)) {
   cfg_.validate();
+  map_ = access_map();
+  std::vector<std::size_t> users(cfg_.resolved_banks(), 0);
+  std::size_t in_use = 0;
+  for (const std::uint32_t bank : map_.bank_of_node) {
+    if (users[bank]++ == 0) ++in_use;
+  }
+  exclusive_bank_.resize(users.size());
+  for (std::size_t b = 0; b < users.size(); ++b) {
+    exclusive_bank_[b] = users[b] == 1 && cfg_.resolved_ports() >= in_use;
+  }
 }
 
 ContentionMemory::~ContentionMemory() = default;
@@ -255,6 +288,10 @@ void ContentionMemory::access(des::Simulation& sim, std::size_t node,
                               std::uint64_t a, std::uint64_t b) const {
   bind(sim);
   Engine& e = *eng_;
+  const std::uint32_t bank = e.map.bank(node);
+  ensure(e.banks[bank].reserved_until <= sim.now(),
+         "ContentionMemory::access: bank is reserved by retired accesses "
+         "past now()");
   const std::uint32_t idx = e.alloc();
   Engine::Request& r = e.slab[idx];
   r.done = done;
@@ -263,9 +300,20 @@ void ContentionMemory::access(des::Simulation& sim, std::size_t node,
   r.b = b;
   r.seq = sim.allocate_seq();
   r.row = e.map.row(addr);
-  r.bank = e.map.bank(node);
+  r.bank = bank;
   r.kind = kind;
   e.issue(idx);
+}
+
+bool ContentionMemory::exclusive(std::size_t node) const {
+  return exclusive_bank_[map_.bank(node)];
+}
+
+Cycles ContentionMemory::retire(des::Simulation& sim, std::size_t node,
+                                std::uint64_t addr, AccessKind kind,
+                                SimTime at) const {
+  bind(sim);
+  return eng_->retire(eng_->map.bank(node), eng_->map.row(addr), kind, at);
 }
 
 std::uint64_t ContentionMemory::accesses() const {

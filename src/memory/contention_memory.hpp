@@ -26,6 +26,16 @@
 // == completed + queued + in-service — alongside the kernel's own sweeps,
 // the memory-side analogue of the packet network's credit-ledger check.
 //
+// Exclusive banks: a node whose bank no other node reaches, with a port
+// for every bank in use, can never queue, so its accesses need no event.
+// exclusive(node) reports that, and retire() charges such an access
+// synchronously at the caller's local clock (statistics as access()
+// would keep them, no gauge or trace counter since nothing queues).  Each
+// bank records `reserved_until`, the completion time of its last retired
+// access; an access() that lands before it, or a retire() on a bank with
+// a request queued or in service, throws LogicError — the two paths never
+// interleave silently on one bank.
+//
 // Like ContentionInterconnect, the model is constructed unbound and
 // attaches to the first Simulation that accesses through it; reusing it
 // in a second Simulation throws LogicError — build one per run.
@@ -51,6 +61,12 @@ class ContentionMemory final : public MemorySystem {
   void access(des::Simulation& sim, std::size_t node, std::uint64_t addr,
               AccessKind kind, bool is_write, des::EventAction::StaticFn done,
               void* ctx, std::uint64_t a, std::uint64_t b) const override;
+
+  /// True iff no other node maps to bank_of(node) and there are at least
+  /// as many ports as banks in use (fixed at construction).
+  [[nodiscard]] bool exclusive(std::size_t node) const override;
+  Cycles retire(des::Simulation& sim, std::size_t node, std::uint64_t addr,
+                AccessKind kind, SimTime at) const override;
 
   /// Binds to `sim` eagerly (access() binds lazily on first use).
   void bind(des::Simulation& sim) const;
@@ -94,6 +110,9 @@ class ContentionMemory final : public MemorySystem {
   struct Engine;
 
   MemoryConfig cfg_;
+  AccessMap map_;
+  /// Banks with exactly one node and a port guaranteed (see exclusive()).
+  std::vector<bool> exclusive_bank_;
   // Bound lazily on first access(): the model outlives no Simulation, it
   // just has to be constructible before one exists.
   mutable std::unique_ptr<Engine> eng_;

@@ -66,46 +66,4 @@ void DramBank::reset_stats() {
   misses_ = 0;
 }
 
-BankedMemory::BankedMemory(des::Simulation& sim, std::size_t banks,
-                           std::size_t ports, DramMacroSpec spec,
-                           std::string name)
-    : sim_(sim), ports_(sim, ports, name + ".ports") {
-  require(banks > 0, "BankedMemory: need at least one bank");
-  require(ports > 0 && ports <= banks,
-          "BankedMemory: ports must be in [1, banks]");
-  spec.validate();
-  banks_.reserve(banks);
-  for (std::size_t i = 0; i < banks; ++i) banks_.emplace_back(spec);
-}
-
-std::size_t BankedMemory::bank_of(std::uint64_t address) const {
-  const std::uint64_t word = address / (banks_[0].spec().word_bits / 8);
-  return static_cast<std::size_t>(word % banks_.size());
-}
-
-std::uint64_t BankedMemory::row_of(std::uint64_t address) const {
-  const std::uint64_t word = address / (banks_[0].spec().word_bits / 8);
-  return word / banks_.size() / banks_[0].spec().words_per_row();
-}
-
-des::Process BankedMemory::access(std::uint64_t address, ClockSpec clock) {
-  co_await ports_.acquire();
-  ++accesses_;
-  const double ns = banks_[bank_of(address)].access_ns(row_of(address));
-  co_await des::delay(sim_, clock.from_ns(ns));
-  ports_.release();
-}
-
-des::Process BankedMemory::access_for(Cycles cycles) {
-  co_await ports_.acquire();
-  ++accesses_;
-  co_await des::delay(sim_, cycles);
-  ports_.release();
-}
-
-DramBank& BankedMemory::bank(std::size_t i) {
-  require(i < banks_.size(), "BankedMemory::bank: index out of range");
-  return banks_[i];
-}
-
 }  // namespace pimsim::mem

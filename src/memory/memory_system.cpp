@@ -30,6 +30,13 @@ void MemorySystem::access(des::Simulation& sim, std::size_t /*node*/,
   sim.schedule_static_at(sim.now() + zero_load_latency(kind), done, ctx, a, b);
 }
 
+Cycles MemorySystem::retire(des::Simulation& /*sim*/, std::size_t /*node*/,
+                            std::uint64_t /*addr*/, AccessKind /*kind*/,
+                            SimTime /*at*/) const {
+  throw LogicError(std::string("MemorySystem::retire: the ") + name() +
+                   " backend has no exclusive nodes");
+}
+
 AnalyticMemory::AnalyticMemory(const MemoryConfig& config)
     : lwp_row_cycles_(config.lwp_row_cycles),
       hwp_miss_cycles_(config.hwp_miss_cycles) {

@@ -21,7 +21,9 @@
 //
 // The interface is completion-event based, not coroutine based, so the
 // contended backend can run allocation-free on the kernel's static-call
-// event path; coroutine code awaits an access via AccessAwaitable.
+// event path; coroutine code awaits an access via AccessAwaitable.  A
+// node whose accesses can never wait (exclusive()) may instead retire()
+// them synchronously on its own clock, with no event at all.
 #pragma once
 
 #include <coroutine>
@@ -99,6 +101,21 @@ class MemorySystem {
                       std::uint64_t addr, AccessKind kind, bool is_write,
                       des::EventAction::StaticFn done, void* ctx,
                       std::uint64_t a, std::uint64_t b) const;
+
+  /// True when nothing `node` issues can ever wait: no other node reaches
+  /// its bank and no port is shared.  Such a node may retire() its access
+  /// stream synchronously on its own clock instead of through access().
+  [[nodiscard]] virtual bool exclusive(std::size_t node) const {
+    (void)node;
+    return false;
+  }
+
+  /// Retires one access from an exclusive `node`, issued at the caller's
+  /// local time `at` (>= sim.now(), in stream order), without an event:
+  /// updates the statistics access() would and returns the latency.
+  /// Throws LogicError unless exclusive(node).
+  virtual Cycles retire(des::Simulation& sim, std::size_t node,
+                        std::uint64_t addr, AccessKind kind, SimTime at) const;
 
   // Stream statistics (banked backend; the analytic model keeps none).
   [[nodiscard]] virtual std::uint64_t accesses() const { return 0; }

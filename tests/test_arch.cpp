@@ -113,6 +113,57 @@ TEST(Lwp, SharedBankContentionSlowsThreadsDown) {
   EXPECT_GT(run_pair(1), 1.2 * run_pair(2));
 }
 
+/// One LWP stream on a banked memory of `nodes` nodes over `banks`
+/// banks, issued from node 0 only.
+struct ContendedRun {
+  double now = 0.0;
+  OpCounts counts;
+  std::uint64_t accesses = 0;
+  double row_hit_rate = 0.0;
+  std::uint64_t dispatches = 0;
+  bool exclusive = false;
+};
+
+ContendedRun run_node0(std::size_t nodes, std::size_t banks,
+                       std::uint64_t ops) {
+  mem::MemoryConfig mc;
+  mc.kind = "banked";
+  mc.nodes = nodes;
+  mc.banks = banks;
+  const auto memory = mem::make_memory(mc);
+  des::Simulation sim;
+  sim.set_audit(true);  // bank conservation on both paths
+  Lwp lwp(sim, SystemParams::table1(), Rng(29, 3), 1000, memory.get(), 0);
+  sim.spawn(lwp.run(ops));
+  sim.run();
+  return {sim.now(),          lwp.counts(),
+          memory->accesses(), memory->row_hit_rate(),
+          sim.events_dispatched(), memory->exclusive(0)};
+}
+
+TEST(Lwp, ExclusiveBankLookaheadIsBitwiseTheEventPath) {
+  // Case A: node 0's bank is shared with (idle) node 1, so every access
+  // meets the kernel.  Case B: node 0 alone owns its bank, so the stream
+  // retires on the LWP's local clock.  Same Rng, same bits.
+  constexpr std::uint64_t kOps = 20'000;
+  const ContendedRun a = run_node0(/*nodes=*/2, /*banks=*/1, kOps);
+  const ContendedRun b = run_node0(/*nodes=*/1, /*banks=*/0, kOps);
+  ASSERT_FALSE(a.exclusive);
+  ASSERT_TRUE(b.exclusive);
+  EXPECT_EQ(a.now, b.now);
+  EXPECT_EQ(a.counts.ops, kOps);
+  EXPECT_EQ(a.counts.ops, b.counts.ops);
+  EXPECT_EQ(a.counts.mem_ops, b.counts.mem_ops);
+  EXPECT_EQ(a.counts.busy_cycles, b.counts.busy_cycles);
+  EXPECT_EQ(a.accesses, a.counts.mem_ops);
+  EXPECT_EQ(a.accesses, b.accesses);
+  EXPECT_EQ(a.row_hit_rate, b.row_hit_rate);
+  // The event path dispatches at least one event per access; the
+  // exclusive path dispatches the start and the one wake-up at the end.
+  EXPECT_GT(a.dispatches, a.accesses);
+  EXPECT_LE(b.dispatches, 2u);
+}
+
 HostConfig small_config(std::size_t nodes, double pct) {
   HostConfig cfg;
   cfg.workload.total_ops = 1'000'000;

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "des/process.hpp"
+#include "common/stats.hpp"
 #include "memory/cache.hpp"
 #include "memory/dram.hpp"
 
@@ -76,43 +76,6 @@ TEST(DramBank, StatsReset) {
   bank.reset_stats();
   EXPECT_EQ(bank.hits() + bank.misses(), 0u);
   EXPECT_DOUBLE_EQ(bank.hit_rate(), 0.0);
-}
-
-TEST(BankedMemory, AddressInterleavingCoversAllBanks) {
-  des::Simulation sim;
-  BankedMemory memory(sim, 4, 4);
-  const std::size_t word_bytes = 256 / 8;
-  EXPECT_EQ(memory.bank_of(0 * word_bytes), 0u);
-  EXPECT_EQ(memory.bank_of(1 * word_bytes), 1u);
-  EXPECT_EQ(memory.bank_of(4 * word_bytes), 0u);
-  EXPECT_EQ(memory.row_of(0), memory.row_of(3 * word_bytes));
-}
-
-TEST(BankedMemory, PortContentionSerializes) {
-  des::Simulation sim;
-  BankedMemory memory(sim, 4, 1);  // one shared port
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(memory.access_for(10.0));
-  }
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 30.0);
-  EXPECT_EQ(memory.accesses(), 3u);
-}
-
-TEST(BankedMemory, FullPortsRunConcurrently) {
-  des::Simulation sim;
-  BankedMemory memory(sim, 4, 4);
-  for (int i = 0; i < 4; ++i) {
-    sim.spawn(memory.access_for(10.0));
-  }
-  sim.run();
-  EXPECT_DOUBLE_EQ(sim.now(), 10.0);
-}
-
-TEST(BankedMemory, RejectsBadConfig) {
-  des::Simulation sim;
-  EXPECT_THROW(BankedMemory(sim, 0, 1), ConfigError);
-  EXPECT_THROW(BankedMemory(sim, 2, 3), ConfigError);  // ports > banks
 }
 
 TEST(StatCache, MissRateConvergesToPmiss) {

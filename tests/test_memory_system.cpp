@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/scenario.hpp"
@@ -190,6 +191,121 @@ TEST(Banked, RebindToSecondSimulationThrows) {
   des::Simulation second;
   second.spawn(issue_stream(second, *memory, 0, 0, 32, 1));
   EXPECT_THROW(second.run(), LogicError);
+}
+
+MemoryConfig banked_config(std::size_t nodes, std::size_t banks,
+                           std::size_t queue) {
+  MemoryConfig mc;
+  mc.kind = "banked";
+  mc.nodes = nodes;
+  mc.banks = banks;
+  mc.queue = queue;
+  return mc;
+}
+
+/// exclusive(node) for every node of one configuration.
+std::vector<bool> exclusive_nodes(std::size_t nodes, std::size_t banks,
+                                  std::size_t queue) {
+  const auto memory = make_memory(banked_config(nodes, banks, queue));
+  std::vector<bool> out;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    out.push_back(memory->exclusive(n));
+    EXPECT_EQ(memory->exclusive(n + nodes), out.back()) << "wrapped " << n;
+  }
+  return out;
+}
+
+TEST(Exclusive, TruthTableOverBanksAndPorts) {
+  const std::vector<bool> all(4, true);
+  const std::vector<bool> none(4, false);
+  // banks < nodes: every bank holds two nodes, whatever the ports.
+  EXPECT_EQ(exclusive_nodes(4, 2, 0), none);
+  EXPECT_EQ(exclusive_nodes(4, 2, 2), none);
+  // banks == nodes: private banks; a port per bank is needed.
+  EXPECT_EQ(exclusive_nodes(4, 0, 0), all);  // banks=0: one per node
+  EXPECT_EQ(exclusive_nodes(4, 4, 0), all);
+  EXPECT_EQ(exclusive_nodes(4, 4, 4), all);
+  EXPECT_EQ(exclusive_nodes(4, 4, 9), all);  // clamped to banks
+  EXPECT_EQ(exclusive_nodes(4, 4, 3), none);
+  EXPECT_EQ(exclusive_nodes(4, 4, 1), none);
+  // banks > nodes: four of eight banks in use, so four ports suffice
+  // even though queue < banks.
+  EXPECT_EQ(exclusive_nodes(4, 8, 0), all);
+  EXPECT_EQ(exclusive_nodes(4, 8, 4), all);
+  EXPECT_EQ(exclusive_nodes(4, 8, 3), none);
+  // Uneven grouping: nodes 0 and 1 share bank 0, node 2 owns bank 1.
+  EXPECT_EQ(exclusive_nodes(3, 2, 0), (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(exclusive_nodes(3, 2, 1), (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(exclusive_nodes(1, 0, 1), (std::vector<bool>{true}));
+  // The analytic model has nothing to retire.
+  const auto analytic = make_memory("analytic");
+  EXPECT_FALSE(analytic->exclusive(0));
+  des::Simulation sim;
+  EXPECT_THROW((void)analytic->retire(sim, 0, 0, AccessKind::kLwpRow, 0.0),
+               LogicError);
+}
+
+TEST(Exclusive, RetireKeepsTheStatisticsAccessWould) {
+  // 64 strided accesses retired back to back on node 0's private bank
+  // leave the same counters as the event-driven stream in
+  // StridedStreamKeepsRowsOpen, and cost TML each.
+  const auto memory = make_memory(banked_config(1, 0, 0));
+  des::Simulation sim;
+  sim.set_audit(true);  // bank conservation holds on the retire path
+  SimTime t = 0.0;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const Cycles latency =
+        memory->retire(sim, 0, 32 * i, AccessKind::kLwpRow, t);
+    EXPECT_EQ(latency, kTml);
+    t += latency;
+  }
+  EXPECT_EQ(memory->accesses(), 64u);
+  EXPECT_DOUBLE_EQ(memory->row_hit_rate(), 56.0 / 64.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);  // no event was scheduled
+  EXPECT_EQ(sim.events_dispatched(), 0u);
+  // A shared bank has no retire path.
+  const auto shared = make_memory(banked_config(2, 1, 0));
+  EXPECT_THROW((void)shared->retire(sim, 0, 0, AccessKind::kLwpRow, 0.0),
+               LogicError);
+}
+
+void ignore_completion(void* /*ctx*/, std::uint64_t /*a*/,
+                       std::uint64_t /*b*/) {}
+
+TEST(Exclusive, AccessIntoAReservedBankThrows) {
+  // An access retired at t=0 holds its bank until TML; an event-path
+  // access landing before that would overlap it.
+  const auto memory = make_memory(banked_config(1, 0, 0));
+  des::Simulation sim;
+  (void)memory->retire(sim, 0, 0, AccessKind::kLwpRow, 0.0);
+  EXPECT_THROW(memory->access(sim, 0, 32, AccessKind::kLwpRow, false,
+                              &ignore_completion, nullptr, 0, 0),
+               LogicError);
+  EXPECT_EQ(memory->accesses(), 1u);
+  // Once simulated time reaches the reservation the bank is free again.
+  (void)sim.schedule_at(kTml, [] {});
+  sim.run();
+  memory->access(sim, 0, 32, AccessKind::kLwpRow, false, &ignore_completion,
+                 nullptr, 0, 0);
+  sim.run();
+  EXPECT_EQ(memory->accesses(), 2u);
+  EXPECT_DOUBLE_EQ(sim.now(), 2 * kTml);
+}
+
+TEST(Exclusive, RetireOnABusyBankThrows) {
+  const auto memory = make_memory(banked_config(1, 0, 0));
+  des::Simulation sim;
+  memory->access(sim, 0, 0, AccessKind::kLwpRow, false, &ignore_completion,
+                 nullptr, 0, 0);  // in service until TML
+  EXPECT_THROW((void)memory->retire(sim, 0, 32, AccessKind::kLwpRow, 0.0),
+               LogicError);
+  sim.run();
+  // Retiring out of stream order (before the last retired access ends)
+  // is rejected too.
+  (void)memory->retire(sim, 0, 32, AccessKind::kLwpRow, sim.now());
+  EXPECT_THROW(
+      (void)memory->retire(sim, 0, 64, AccessKind::kLwpRow, sim.now()),
+      LogicError);
 }
 
 TEST(MemorySeam, AnalyticDefaultBitwiseEqualsExplicitAnalytic) {

@@ -106,6 +106,67 @@ TEST(Process, SpawnJoinHelper) {
   EXPECT_DOUBLE_EQ(parent, 7.0);
 }
 
+/// Records the time and dispatch count after each of its three waits.
+Process wait_until_steps(Simulation& sim, std::vector<double>* times,
+                         std::vector<std::uint64_t>* dispatches) {
+  co_await delay(sim, 10.0);
+  co_await wait_until(sim, 25.0);  // absolute: wakes at 25, not 35
+  times->push_back(sim.now());
+  dispatches->push_back(sim.events_dispatched());
+  co_await wait_until(sim, 25.0);  // already there: no suspension
+  times->push_back(sim.now());
+  dispatches->push_back(sim.events_dispatched());
+  co_await wait_until(sim, 25.5);
+  times->push_back(sim.now());
+  dispatches->push_back(sim.events_dispatched());
+}
+
+TEST(WaitUntil, WakesAtAbsoluteTimeAndPassesThroughAtNow) {
+  Simulation sim;
+  std::vector<double> times;
+  std::vector<std::uint64_t> dispatches;
+  sim.spawn(wait_until_steps(sim, &times, &dispatches));
+  sim.run();
+  EXPECT_EQ(times, (std::vector<double>{25.0, 25.0, 25.5}));
+  ASSERT_EQ(dispatches.size(), 3u);
+  EXPECT_EQ(dispatches[1], dispatches[0]);  // t == now() dispatched nothing
+  EXPECT_EQ(dispatches[2], dispatches[1] + 1);
+}
+
+Process order_logger(Simulation& sim, bool absolute, int id,
+                     std::vector<int>* order) {
+  if (absolute) {
+    co_await wait_until(sim, sim.now() + 5.0);
+  } else {
+    co_await delay(sim, 5.0);
+  }
+  order->push_back(id);
+}
+
+TEST(WaitUntil, SameTimeWakeUpsKeepSchedulingOrderWithDelay) {
+  // wait_until(now + d) takes the calendar key delay(d) would: same-time
+  // wake-ups dispatch in the order they were scheduled.
+  Simulation sim;
+  std::vector<int> order;
+  sim.spawn(order_logger(sim, true, 0, &order));
+  sim.spawn(order_logger(sim, false, 1, &order));
+  sim.spawn(order_logger(sim, true, 2, &order));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+Process wait_into_past(Simulation& sim) {
+  co_await delay(sim, 10.0);
+  co_await wait_until(sim, 9.0);
+}
+
+TEST(WaitUntil, PastTimeThrowsLogicError) {
+  Simulation sim;
+  sim.spawn(wait_into_past(sim));
+  EXPECT_THROW(sim.run(), LogicError);
+}
+
 Process thrower(Simulation& sim) {
   co_await delay(sim, 5.0);
   throw std::runtime_error("model failure");
