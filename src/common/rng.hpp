@@ -9,8 +9,9 @@
 // the standard <random> distributions can run on top of it.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <random>
+#include <vector>
 
 namespace pimsim {
 
@@ -65,11 +66,77 @@ class Xoshiro256pp {
   std::uint64_t s_[4]{};
 };
 
+/// Geometric draws by table inversion, bit-identical to libstdc++.
+///
+/// A geometric draw is a monotone step function of one 64-bit engine word
+/// x: libstdc++'s geometric_distribution (bits/random.tcc) returns
+/// floor(log(1 - u) / log(1 - p)) with u = x * 2^-64 (clamped below 1),
+/// redrawing while that is >= 2^64.  The table holds the step positions
+/// T_k (the least word whose draw is >= k), so a draw is a lookup instead
+/// of a log (guide-table inversion: Chen & Asau 1974; Devroye 1986,
+/// section III.2).  The computed quotient is off the real one by a few
+/// ulps, so its floor can move only for words within a few thousand of a
+/// step; every word within kGuard of a step, or past the last one,
+/// evaluates the formula itself.  Every draw consumes exactly the words
+/// libstdc++ would: one, plus the tail's redraws.
+class GeometricTable {
+ public:
+  /// Half-width, in engine words, of the band around each step.
+  static constexpr std::uint64_t kGuard = std::uint64_t{1} << 24;
+
+  /// Builds the table for p in (0, 1); throws ConfigError otherwise.
+  explicit GeometricTable(double p);
+
+  /// The process-wide table for p, built on first use and never changed.
+  static const GeometricTable& shared(double p);
+
+  [[nodiscard]] double p() const { return p_; }
+  /// T_1..T_K in increasing order, each at least 4 * kGuard apart.
+  [[nodiscard]] const std::vector<std::uint64_t>& steps() const { return steps_; }
+
+  /// One draw from a full-range 64-bit engine.
+  template <class Engine>
+  std::uint64_t operator()(Engine& engine) const {
+    static_assert(Engine::min() == 0 && Engine::max() == ~std::uint64_t{0});
+    const std::uint64_t word = engine();
+    const std::uint8_t k = guide_[word >> (64 - kGuideBits)];
+    if (k != kSlow) [[likely]] return k;
+    std::uint64_t value = 0;
+    if (lookup(word, value)) return value;
+    double cand = candidate(word);
+    while (cand >= kThreshold) cand = candidate(engine());
+    return static_cast<std::uint64_t>(cand + kNaf);
+  }
+
+ private:
+  static constexpr int kGuideBits = 10;
+  static constexpr std::uint8_t kSlow = 0xff;
+  // random.tcc's constants: the "epsilon thing" rounding offset and the
+  // largest double convertible to the result type.
+  static constexpr double kNaf = (1.0 - 0x1p-52) / 2;
+  static constexpr double kThreshold = static_cast<double>(~std::uint64_t{0}) + kNaf;
+
+  /// libstdc++'s candidate floor(log(1 - u) / log(1 - p)) for one word.
+  double candidate(std::uint64_t word) const;
+  /// The table's draw for a word clear of every band and below the last
+  /// step; false when the formula has to decide.
+  bool lookup(std::uint64_t word, std::uint64_t& value) const;
+
+  double p_;
+  double log_1_p_;
+  std::vector<std::uint64_t> steps_;
+  // By the word's top kGuideBits: the draw, when the whole bucket lies in
+  // one gap clear of every band, else kSlow.
+  std::array<std::uint8_t, std::size_t{1} << kGuideBits> guide_{};
+};
+
 /// A named random stream with the distributions the models need.
 ///
 /// Streams are derived from (seed, stream_id) pairs; two Rng objects with
 /// the same pair produce identical sequences, and distinct stream ids give
-/// statistically independent sequences.
+/// statistically independent sequences.  geometric() is a lookup in a
+/// shared GeometricTable that consumes the same engine words, and
+/// returns the same values, as std::geometric_distribution.
 class Rng {
  public:
   /// Creates the stream identified by (seed, stream_id).
@@ -95,9 +162,6 @@ class Rng {
   /// Normal variate.
   double normal(double mean, double stddev);
 
-  /// Raw engine access (for std:: distributions in client code).
-  Xoshiro256pp& engine() { return engine_; }
-
  private:
   struct Derived {
     std::uint64_t value;
@@ -105,10 +169,9 @@ class Rng {
   explicit Rng(Derived derived) : engine_(derived.value), base_(derived.value) {}
   Xoshiro256pp engine_;
   std::uint64_t base_;
-  // geometric()'s distribution for the last p drawn with: the
-  // distribution is stateless, so reusing it only skips rebuilding
-  // log(1 - p) and the draws stay bitwise identical.
-  std::geometric_distribution<std::uint64_t> geometric_;
+  // geometric()'s table for the last p drawn with; tables are immutable
+  // and shared, so streams that copy it stay independent.
+  const GeometricTable* geometric_ = nullptr;
 };
 
 }  // namespace pimsim

@@ -1,8 +1,14 @@
 // Unit and statistical tests for the random number substrate.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -128,8 +134,190 @@ TEST(Rng, GeometricMeanMatches) {
 }
 
 TEST(Rng, GeometricWithPOneIsZero) {
-  Rng rng(41);
+  Rng rng(41), twin(41);
+  EXPECT_EQ(rng.geometric(0.3), twin.geometric(0.3));
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
+  // ... and draws nothing from the stream, even after another p.
+  for (int i = 0; i < 100; ++i) EXPECT_DOUBLE_EQ(rng.uniform(), twin.uniform());
+}
+
+TEST(Rng, GeometricRejectsBadPAfterAValidOne) {
+  Rng a(59), b(59);
+  EXPECT_EQ(a.geometric(0.3), b.geometric(0.3));
+  for (const double bad : {0.0, -0.1, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(a.geometric(bad), ConfigError);
+    EXPECT_THROW(a.geometric(bad), ConfigError);
+  }
+  for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.geometric(0.3), b.geometric(0.3));
+  EXPECT_THROW(GeometricTable(1.0), ConfigError);
+  EXPECT_THROW(GeometricTable(0.0), ConfigError);
+}
+
+// --- GeometricTable against the distribution it replaces ------------------
+
+// libstdc++'s geometric_distribution::operator() (bits/random.tcc) over
+// generate_canonical<double, 53>, written out independently of the table.
+template <class Engine>
+std::uint64_t formula_geometric(double p, Engine& engine) {
+  const double naf = (1 - std::numeric_limits<double>::epsilon()) / 2;
+  const double thr = static_cast<double>(std::numeric_limits<std::uint64_t>::max()) + naf;
+  const double log_1_p = std::log(1.0 - p);
+  double cand = 0.0;
+  do {
+    double u = static_cast<double>(engine()) / 0x1p64;
+    if (u >= 1.0) u = std::nextafter(1.0, 0.0);
+    cand = std::floor(std::log(1.0 - u) / log_1_p);
+  } while (cand >= thr);
+  return static_cast<std::uint64_t>(cand + naf);
+}
+
+// An engine whose first word is chosen; later words (redraws) come from
+// a seeded xoshiro stream.
+class WordEngine {
+ public:
+  using result_type = std::uint64_t;
+  explicit WordEngine(std::uint64_t first) : first_(first), rest_(first) {}
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type operator()() {
+    if (fresh_) {
+      fresh_ = false;
+      return first_;
+    }
+    return rest_();
+  }
+
+ private:
+  std::uint64_t first_;
+  Xoshiro256pp rest_;
+  bool fresh_ = true;
+};
+
+const std::vector<double> kGeometricPs = {1e-6, 1e-3, 0.02, 0.1, 0.3,
+                                          0.5,  0.7,  0.9,  0.999};
+
+// After the same number of draws, twin engines give the same next words.
+void expect_aligned(Xoshiro256pp& a, Xoshiro256pp& b) {
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(a(), b());
+}
+
+TEST(GeometricTable, MatchesExplicitFormula) {
+  constexpr int kDraws = 1'200'000;  // x 9 values of p: >= 10^7 draws
+  for (const double p : kGeometricPs) {
+    const GeometricTable table(p);
+    Xoshiro256pp a(0xfeed), b(0xfeed);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) mismatches += table(a) != formula_geometric(p, b);
+    EXPECT_EQ(mismatches, 0u) << "p=" << p;
+    expect_aligned(a, b);
+  }
+}
+
+#ifdef __GLIBCXX__
+TEST(GeometricTable, MatchesLibstdcxxDistribution) {
+  constexpr int kDraws = 300'000;
+  for (const double p : kGeometricPs) {
+    const GeometricTable table(p);
+    std::geometric_distribution<std::uint64_t> reference(p);
+    Xoshiro256pp a(0xbeef), b(0xbeef);
+    std::uint64_t mismatches = 0;
+    for (int i = 0; i < kDraws; ++i) mismatches += table(a) != reference(b);
+    EXPECT_EQ(mismatches, 0u) << "p=" << p;
+    expect_aligned(a, b);
+  }
+}
+#endif
+
+TEST(GeometricTable, StepsAndBandEdgesMatchWordByWord) {
+  constexpr std::uint64_t kG = GeometricTable::kGuard;
+  constexpr std::uint64_t kLast = ~std::uint64_t{0};
+  std::vector<double> ps = kGeometricPs;
+  ps.push_back(1e-12);  // first step within 4 guard bands of 0: all formula
+  for (const double p : ps) {
+    const GeometricTable table(p);
+    const std::vector<std::uint64_t>& steps = table.steps();
+    std::vector<std::uint64_t> words = {0, 1, kG, kLast - 1, kLast};
+    for (std::size_t k = 0; k < steps.size(); ++k) {
+      const std::uint64_t t = steps[k];
+      EXPECT_GE(t, 4 * kG) << "p=" << p;
+      if (k > 0) {
+        EXPECT_GE(t - steps[k - 1], 4 * kG) << "p=" << p;
+      }
+      // T_{k+1} is the least word whose draw is >= k + 1.
+      WordEngine at(t), before(t - 1);
+      EXPECT_GE(formula_geometric(p, at), k + 1) << "p=" << p;
+      EXPECT_LE(formula_geometric(p, before), k) << "p=" << p;
+      for (const std::uint64_t d : {std::uint64_t{1}, kG, kG + 1}) {
+        words.push_back(t - d);
+        if (t <= kLast - d) words.push_back(t + d);
+      }
+      words.push_back(t);
+    }
+    // The tail past the last step, where the formula decides.
+    const std::uint64_t tail = steps.empty() ? 0 : steps.back();
+    for (std::uint64_t d = 1; d <= 64 && tail <= kLast - (d << 20); ++d) {
+      words.push_back(tail + (d << 20));
+    }
+    for (const std::uint64_t word : words) {
+      WordEngine a(word), b(word);
+      EXPECT_EQ(table(a), formula_geometric(p, b)) << "p=" << p << " word=" << word;
+      EXPECT_EQ(a(), b()) << "p=" << p << " word=" << word;
+#ifdef __GLIBCXX__
+      WordEngine c(word);
+      std::geometric_distribution<std::uint64_t> reference(p);
+      WordEngine d(word);
+      EXPECT_EQ(table(c), reference(d)) << "p=" << p << " word=" << word;
+#endif
+    }
+  }
+  EXPECT_TRUE(GeometricTable(1e-12).steps().empty());
+  EXPECT_FALSE(GeometricTable(0.3).steps().empty());
+}
+
+TEST(GeometricTable, ConcurrentFirstUseGivesTheSerialResults) {
+  // Values of p no other test touches, so the memo is cold; each thread
+  // draws every p, and threads race to build the shared tables.
+  const std::vector<double> ps = {0.123, 0.234, 0.345, 0.456};
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 20'000;
+  auto draw_all = [&](const auto& table_for, std::uint64_t seed) {
+    std::vector<std::uint64_t> out;
+    Xoshiro256pp engine(seed);
+    for (int i = 0; i < kDraws; ++i) {
+      out.push_back(table_for(ps[static_cast<std::size_t>(i) % ps.size()])(engine));
+    }
+    return out;
+  };
+  std::vector<GeometricTable> serial_tables;
+  for (const double p : ps) serial_tables.emplace_back(p);
+  std::vector<std::vector<std::uint64_t>> expected;
+  for (int t = 0; t < kThreads; ++t) {
+    expected.push_back(draw_all(
+        [&](double p) -> const GeometricTable& {
+          for (const GeometricTable& table : serial_tables) {
+            if (table.p() == p) return table;
+          }
+          throw LogicError("no serial table");
+        },
+        static_cast<std::uint64_t>(t)));
+  }
+  std::vector<std::vector<std::uint64_t>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<std::size_t>(t)] = draw_all(
+          [](double p) -> const GeometricTable& { return GeometricTable::shared(p); },
+          static_cast<std::uint64_t>(t));
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<std::size_t>(t)], expected[static_cast<std::size_t>(t)]);
+  }
+  for (const double p : ps) EXPECT_EQ(&GeometricTable::shared(p), &GeometricTable::shared(p));
 }
 
 TEST(Rng, ExponentialMeanMatches) {
