@@ -1,7 +1,7 @@
 // Event-kernel microbenchmark: dispatch throughput in events per second.
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
-// always build it.  Eight workloads stress the kernel paths the rest of
+// always build it.  Nine workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
 //   dispatch    N one-shot callbacks pre-loaded into the calendar
@@ -20,6 +20,9 @@
 //   spawnchurn  short-lived processes, spawned and joined in batches,
 //               each taking a Resource and sending one Mailbox message:
 //               the per-process fixed cost (frame, join, wait queues)
+//   manyprocs   8192 live processes (the fig12 grid's 256 nodes x 32
+//               contexts) each looping geometric delays: the cost of a
+//               wake when the working set of frames is far out of cache
 //
 // Each workload runs `reps` times; every repetition is recorded in a
 // BENCH_engine.json trajectory (best repetition is the headline number).
@@ -37,6 +40,7 @@
 #include "bench_util.hpp"
 #include "common/config.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
@@ -300,6 +304,24 @@ Sample run_spawnchurn(std::uint64_t events) {
   return s;
 }
 
+// --- manyprocs: a large working set of looping processes ---------------
+
+des::Process geometric_loop(des::Simulation& sim, Rng& rng, std::uint64_t hops) {
+  for (std::uint64_t i = 0; i < hops; ++i) {
+    co_await des::delay(sim, static_cast<double>(1 + rng.geometric(0.1)));
+  }
+}
+
+Sample run_manyprocs(std::uint64_t events) {
+  constexpr std::uint64_t kProcs = 256 * 32;
+  Rng rng(1);
+  return time_run([&](des::Simulation& sim) {
+    for (std::uint64_t p = 0; p < kProcs; ++p) {
+      sim.spawn(geometric_loop(sim, rng, events / kProcs));
+    }
+  });
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -318,7 +340,7 @@ int main(int argc, char** argv) {
     std::uint64_t pingpong_events_once = 0;
     for (const char* name :
          {"dispatch", "delayloop", "fracdelay", "keyed", "pingpong",
-          "timerwheel", "cancelheavy", "spawnchurn"}) {
+          "timerwheel", "cancelheavy", "spawnchurn", "manyprocs"}) {
       WorkloadResult r;
       r.name = name;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -344,8 +366,10 @@ int main(int argc, char** argv) {
           s = run_timerwheel(events);
         } else if (r.name == "cancelheavy") {
           s = run_cancelheavy(events);
-        } else {
+        } else if (r.name == "spawnchurn") {
           s = run_spawnchurn(events);
+        } else {
+          s = run_manyprocs(events);
         }
         r.samples.push_back(s);
       }

@@ -17,8 +17,8 @@
 // bench_engine floors in bench/baselines.json.
 //
 // Besides the chain, audit mode runs O(1)-amortized invariant sweeps
-// (Simulation::audit_check_now()) over the 4-ary heap, the slot-pool
-// generations, and any component-registered checks (the packet network
+// (Simulation::audit_check_now()) over the calendar's order, its exact
+// node and record-pool accounting, and any component-registered checks (the packet network
 // registers its credit-ledger invariants), so corruption is caught at
 // the event where it happens, not at the end of a 10^8-event run.
 //

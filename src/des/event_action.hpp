@@ -1,11 +1,12 @@
-// Type-erased one-shot event callback for the simulation kernel.
+// Type-erased one-shot callback of a pooled calendar event.
 //
 // EventAction is a small tagged union replacing the std::function the
-// calendar used to store per event.  The three payload kinds cover the
-// kernel's traffic without touching the heap on the hot paths:
+// calendar used to store per event.  Process wakes are not actions at
+// all: they link the process's own calendar node (ProcessHook, see
+// simulation.hpp) and dispatch as audit/profiler kind kWakeKindId.  The
+// three payload kinds cover every other event without touching the heap
+// on the hot paths:
 //
-//  * kResume — a raw coroutine handle.  resume_soon()/delay()/mailbox
-//    wake-ups all reduce to this: 8 bytes, no construction cost.
 //  * kSmall  — an arbitrary callable move-constructed into a
 //    kInlineSize-byte (32) inline buffer (covers every lambda the
 //    library schedules).
@@ -17,13 +18,14 @@
 //    interconnect-delivery completions: no ops table, no relocation, the
 //    payload is invoked directly from the inline buffer.
 //
-// Invoking consumes the action: the callable is relocated to the caller's
-// stack before it runs, so a callback may freely schedule new events even
-// when that reallocates the slot pool that used to hold it.  Oversized
-// callables (> kInlineSize) transparently fall back to a heap box.
+// Invoking consumes the action: its kind is cleared and its payload
+// moved to the stack before the callable runs, so the action is empty
+// while its callback runs.  The dispatcher invokes it in place in its
+// pooled record and recycles the record only once the callback returns.
+// Oversized callables (> kInlineSize) transparently fall back to a heap
+// box.
 #pragma once
 
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -52,14 +54,6 @@ class EventAction {
   EventAction(const EventAction&) = delete;
   EventAction& operator=(const EventAction&) = delete;
   ~EventAction() { reset(); }
-
-  /// The coroutine-resume fast path: no payload beyond the handle.
-  static EventAction resume(std::coroutine_handle<> h) noexcept {
-    EventAction a;
-    a.kind_ = Kind::kResume;
-    a.storage_.pointer = h.address();
-    return a;
-  }
 
   /// Plain-function event with two word-sized payloads — the dedicated
   /// form for hot homogeneous event streams (link advances, arrivals).
@@ -100,10 +94,14 @@ class EventAction {
   /// True while a callback is stored (empty after invoke()/reset()).
   explicit operator bool() const noexcept { return kind_ != Kind::kEmpty; }
 
+  /// Kind id of a process wake, which is no EventAction: kind_id() never
+  /// returns it, the audit chain and the profiler record it for wakes.
+  static constexpr std::uint8_t kWakeKindId = 1;
+
   /// Stable small integer identifying the payload kind (0 = empty,
-  /// 1 = resume, 2 = small, 3 = boxed, 4 = static).  Fed into the audit
-  /// hash chain so two runs dispatching different action kinds at the
-  /// same (time, seq) still diverge.
+  /// 2 = small, 3 = boxed, 4 = static; 1 is kWakeKindId).  Fed into the
+  /// audit hash chain so two runs dispatching different action kinds at
+  /// the same (time, seq) still diverge.
   [[nodiscard]] std::uint8_t kind_id() const noexcept {
     return static_cast<std::uint8_t>(kind_);
   }
@@ -114,9 +112,6 @@ class EventAction {
     switch (kind) {
       case Kind::kEmpty:
         return;
-      case Kind::kResume:
-        std::coroutine_handle<>::from_address(storage_.pointer).resume();
-        return;
       case Kind::kSmall:
         ops_->invoke(storage_.inline_buf);
         return;
@@ -124,8 +119,8 @@ class EventAction {
         ops_->invoke(storage_.pointer);
         return;
       case Kind::kStatic: {
-        // Copy to the stack first: the handler may schedule events, which
-        // can reallocate the slot pool that held this action.
+        // Copy to the stack first, like every other kind: the action is
+        // already empty while the handler runs.
         const StaticCall rec = storage_.static_call;
         rec.fn(rec.ctx, rec.a, rec.b);
         return;
@@ -144,7 +139,7 @@ class EventAction {
   }
 
  private:
-  enum class Kind : std::uint8_t { kEmpty, kResume, kSmall, kBoxed, kStatic };
+  enum class Kind : std::uint8_t { kEmpty = 0, kSmall = 2, kBoxed = 3, kStatic = 4 };
 
   struct Ops {
     void (*invoke)(void* self);   // run, then destroy the stored callable
@@ -155,8 +150,8 @@ class EventAction {
   template <typename Fn>
   static constexpr Ops kSmallOps = {
       [](void* self) {
-        // Relocate to the stack first: the callable may schedule events,
-        // which can grow the slot pool out from under `self`.
+        // Relocate to the stack first: the stored callable is gone (and
+        // destroyed exactly once, even if it throws) by the time it runs.
         Fn fn = std::move(*static_cast<Fn*>(self));
         static_cast<Fn*>(self)->~Fn();
         fn();
@@ -183,7 +178,6 @@ class EventAction {
       case Kind::kSmall:
         ops_->relocate(other.storage_.inline_buf, storage_.inline_buf);
         break;
-      case Kind::kResume:
       case Kind::kBoxed:
         storage_.pointer = other.storage_.pointer;
         break;
@@ -204,7 +198,7 @@ class EventAction {
   static_assert(sizeof(StaticCall) <= kInlineSize);
 
   union Storage {
-    void* pointer;  // kResume: coroutine frame; kBoxed: heap callable
+    void* pointer;  // kBoxed: heap callable
     StaticCall static_call;  // kStatic: fn + ctx + payload, trivially copyable
     alignas(std::max_align_t) std::byte inline_buf[kInlineSize];
   };

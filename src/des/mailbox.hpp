@@ -13,13 +13,13 @@
 // non-empty (sends hand messages straight to the oldest waiter).
 #pragma once
 
-#include <coroutine>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "des/process.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
@@ -42,8 +42,8 @@ class Mailbox {
       slot_ = box_.pop_item();
       return true;
     }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      handle_ = h;
+    void await_suspend(Process::handle_type h) noexcept {
+      waiter_ = &h.promise().hook;
       (box_.tail_ != nullptr ? box_.tail_->next_ : box_.head_) = this;
       box_.tail_ = this;
       ++box_.waiting_;
@@ -66,13 +66,13 @@ class Mailbox {
     std::optional<T> slot_;
     // Queue node, meaningful only while suspended.
     ReceiveAwaitable* next_ = nullptr;
-    std::coroutine_handle<> handle_;
+    ProcessHook* waiter_ = nullptr;
   };
 
   /// Deposits a message; wakes the oldest waiting receiver, if any.
   /// Allocation-free when a receiver is waiting: the message moves
-  /// straight into the receiver's frame and the wake-up is a raw
-  /// coroutine-resume calendar entry (EventAction kResume).
+  /// straight into the receiver's frame and the wake-up links the
+  /// receiver's own calendar node.
   void send(T value) {
     // tracing_enabled() first: trace() itself is an inline branch, but
     // the lazy label interning is not free on a path this hot.
@@ -83,7 +83,7 @@ class Mailbox {
       if (head_ == nullptr) tail_ = nullptr;
       --waiting_;
       w->slot_ = std::move(value);
-      sim_.resume_soon(w->handle_);
+      sim_.resume_soon(*w->waiter_);
     } else {
       items_.push_back(std::move(value));
     }

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <new>
-#include <type_traits>
 
 namespace pimsim::des {
 
@@ -95,9 +94,5 @@ void FramePool::deallocate(void* block, std::size_t size) noexcept {
 }
 
 std::size_t FramePool::retained_bytes() noexcept { return tls_pool.retained; }
-
-// Pins a kernel fast-path contract this header depends on.
-static_assert(std::is_nothrow_move_constructible_v<EventAction>,
-              "slot-pool growth relies on noexcept EventAction relocation");
 
 }  // namespace pimsim::des

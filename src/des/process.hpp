@@ -25,6 +25,13 @@
 // and every wait queue (joiners, Trigger, Resource, Mailbox) is an
 // intrusive list threaded through the awaitables parked in the waiting
 // frames, so a warm spawn -> wait -> finish cycle never calls malloc.
+//
+// Wakes: the promise embeds the process's ProcessHook, whose calendar
+// node is its one pending resume.  Every kernel awaitable takes the
+// awaiting Process::handle_type (so only des::Process coroutines can
+// await them) and wakes it by linking that node through
+// Simulation::resume_at / resume_in / resume_soon: no EventAction, no
+// record, no EventId.
 #pragma once
 
 #include <coroutine>
@@ -103,9 +110,11 @@ class Process {
   };
 
   struct promise_type {
+    // First, so the wake node shares a cache line with the frame's resume
+    // pointer more often than not.
+    ProcessHook hook;             // wake node + live-registry entry
     Simulation* sim = nullptr;    // set by Simulation::spawn
     JoinState* join = nullptr;    // created by the first join()
-    ProcessHook hook;             // the kernel's live-registry entry
 
     promise_type() = default;
     promise_type(const promise_type&) = delete;
@@ -154,8 +163,8 @@ class Process {
     }
 
     bool await_ready() const noexcept { return state_->done; }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      waiter_ = h;
+    void await_suspend(handle_type h) noexcept {
+      waiter_ = &h.promise().hook;
       linked_ = true;
       (state_->tail != nullptr ? state_->tail->next_ : state_->head) = this;
       state_->tail = this;
@@ -169,7 +178,7 @@ class Process {
 
     JoinState* state_;
     JoinAwaitable* next_ = nullptr;
-    std::coroutine_handle<> waiter_;
+    ProcessHook* waiter_ = nullptr;
     bool linked_ = false;
   };
 
@@ -232,7 +241,7 @@ inline void Process::JoinState::complete(Simulation& sim) noexcept {
   while (j != nullptr) {
     JoinAwaitable* next = j->next_;
     j->linked_ = false;
-    sim.resume_soon(j->waiter_);
+    sim.resume_soon(*j->waiter_);
     j = next;
   }
 }
@@ -253,10 +262,9 @@ class [[nodiscard]] DelayAwaitable {
  public:
   DelayAwaitable(Simulation& sim, Cycles delay) : sim_(sim), delay_(delay) {}
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    // Allocation-free: the calendar stores the raw handle (EventAction
-    // kResume), not a functor wrapping it.
-    (void)sim_.resume_in(delay_, h);
+  void await_suspend(Process::handle_type h) {
+    // Allocation-free: the calendar links the process's own wake node.
+    sim_.resume_in(delay_, h.promise().hook);
   }
   void await_resume() const noexcept {}
 
@@ -283,8 +291,8 @@ class [[nodiscard]] WaitUntilAwaitable {
     ensure(at_ >= sim_.now(), "des::wait_until: time is in the past");
     return at_ == sim_.now();
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    (void)sim_.resume_at(at_, h);
+  void await_suspend(Process::handle_type h) {
+    sim_.resume_at(at_, h.promise().hook);
   }
   void await_resume() const noexcept {}
 
@@ -314,8 +322,8 @@ class Trigger {
    public:
     explicit WaitAwaitable(Trigger& trigger) : trigger_(trigger) {}
     bool await_ready() const noexcept { return trigger_.fired_; }
-    void await_suspend(std::coroutine_handle<> h) noexcept {
-      handle_ = h;
+    void await_suspend(Process::handle_type h) noexcept {
+      waiter_ = &h.promise().hook;
       Trigger& t = trigger_;
       (t.tail_ != nullptr ? t.tail_->next_ : t.head_) = this;
       t.tail_ = this;
@@ -327,7 +335,7 @@ class Trigger {
     friend class Trigger;
     Trigger& trigger_;
     WaitAwaitable* next_ = nullptr;
-    std::coroutine_handle<> handle_;
+    ProcessHook* waiter_ = nullptr;
   };
 
   /// Awaitable that completes when fire() is called (immediately if already
@@ -345,7 +353,7 @@ class Trigger {
     waiting_ = 0;
     while (w != nullptr) {
       WaitAwaitable* next = w->next_;
-      sim_.resume_soon(w->handle_);
+      sim_.resume_soon(*w->waiter_);
       w = next;
     }
   }

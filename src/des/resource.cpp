@@ -19,9 +19,9 @@ bool Resource::AcquireAwaitable::await_ready() {
   return false;
 }
 
-void Resource::AcquireAwaitable::await_suspend(std::coroutine_handle<> h) {
+void Resource::AcquireAwaitable::await_suspend(Process::handle_type h) {
   Resource& r = resource_;
-  handle_ = h;
+  waiter_ = &h.promise().hook;
   enqueued_at_ = r.sim_.now();
   (r.tail_ != nullptr ? r.tail_->next_ : r.head_) = this;
   r.tail_ = this;
@@ -72,7 +72,7 @@ void Resource::release(std::size_t n) {
 
 void Resource::drain_queue() {
   // Strict FIFO: stop at the first waiter that does not fit.  Each grant
-  // wake-up is a raw coroutine-resume calendar entry — no allocation.
+  // wake-up links the waiter's own calendar node — no allocation.
   while (head_ != nullptr && capacity_ - in_use_ >= head_->n_) {
     AcquireAwaitable* w = head_;
     head_ = w->next_;
@@ -80,7 +80,7 @@ void Resource::drain_queue() {
     --queued_count_;
     queued_.set(sim_.now(), static_cast<double>(queued_count_));
     grant(w->n_, w->enqueued_at_);
-    sim_.resume_soon(w->handle_);
+    sim_.resume_soon(*w->waiter_);
   }
 }
 

@@ -10,12 +10,12 @@
 // allocates.
 #pragma once
 
-#include <coroutine>
 #include <cstddef>
 #include <string>
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
+#include "des/process.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
@@ -34,7 +34,7 @@ class Resource {
     AcquireAwaitable(Resource& resource, std::size_t n)
         : resource_(resource), n_(n) {}
     bool await_ready();
-    void await_suspend(std::coroutine_handle<> h);
+    void await_suspend(Process::handle_type h);
     void await_resume() const noexcept {}
 
    private:
@@ -43,7 +43,7 @@ class Resource {
     std::size_t n_;
     // Queue node, meaningful only while suspended.
     AcquireAwaitable* next_ = nullptr;
-    std::coroutine_handle<> handle_;
+    ProcessHook* waiter_ = nullptr;
     SimTime enqueued_at_ = 0.0;
   };
 

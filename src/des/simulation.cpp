@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <coroutine>
+#include <cstddef>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,11 +18,12 @@
 
 namespace pimsim::des {
 
+// hook_of/record_of turn a node pointer into its owner: both owners
+// are standard-layout with the node as their first member.
+static_assert(std::is_standard_layout_v<ProcessHook> &&
+              offsetof(ProcessHook, node) == 0);
+
 Simulation::Simulation() {
-  // Start the per-event vectors at a working size, so a short run pays
-  // one allocation per structure rather than a ladder of doublings.
-  slots_.reserve(kInitialCapacity);
-  now_queue_.reserve(kInitialCapacity);
   heap_.reserve(kInitialCapacity);
   live_order_.reserve(kInitialCapacity);
   // The active obs::Session's switches (else the PIMSIM_* environment)
@@ -37,6 +42,13 @@ Simulation::Simulation() {
 }
 
 Simulation::~Simulation() {
+  // Forget the calendar before any frame dies: the lane, wheel and heap
+  // point into the frames' wake nodes, and a coroutine destructor that
+  // schedules must not walk them.
+  lane_head_ = lane_tail_ = nullptr;
+  wheel_bits_ = {};
+  wheel_summary_ = 0;
+  heap_.clear();
   // Destroy any still-suspended process frames, in deterministic
   // registration order. Guard against coroutine destructors scheduling
   // new work or unregistering re-entrantly.
@@ -46,7 +58,7 @@ Simulation::~Simulation() {
   for (const ProcessHook* hook : frames) {
     std::coroutine_handle<>::from_address(hook->frame).destroy();
   }
-  // Pending EventActions (and anything they own) die with slots_.
+  // Pending EventActions (and anything they own) die with pool_.
   if (audit_) AuditRegistry::global().absorb(*audit_);
   // Publish enabled observability layers to their process-wide hubs.
   if (metrics_) {
@@ -93,27 +105,58 @@ void Simulation::set_profile(bool enabled) {
   }
 }
 
-// --- slot pool -----------------------------------------------------------
+// --- record pool ---------------------------------------------------------
 
-void Simulation::release_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  if (++slot.generation == 0) slot.generation = 1;  // 0 is the id sentinel
-  slot.next_free = free_head_;
-  free_head_ = index;
-  --live_events_;
+Simulation::RecordPool::~RecordPool() {
+  // Destroys every constructed record (a pending action's callable with
+  // it), then frees the chunks.
+  std::allocator<EventRecord> alloc;
+  std::uint32_t left = size_;
+  for (std::size_t k = 0; k < chunks_.size(); ++k) {
+    const std::uint32_t n = std::min(left, chunk_size(k));
+    std::destroy_n(chunks_[k], n);
+    left -= n;
+    alloc.deallocate(chunks_[k], chunk_size(k));
+  }
+}
+
+Simulation::EventRecord& Simulation::RecordPool::grow() {
+  ensure(chunks_.size() < kMaxChunks, "Simulation: event record pool exhausted");
+  const std::uint32_t n = chunk_size(chunks_.size());
+  chunks_.push_back(std::allocator<EventRecord>().allocate(n));
+  bump_ = chunks_.back();
+  end_ = bump_ + n;
+  return *::new (static_cast<void*>(bump_++)) EventRecord(size_++);
+}
+
+Simulation::EventRecord* Simulation::RecordPool::find(std::uint32_t index) const {
+  if (index >= size_) return nullptr;
+  // Chunk k starts at index kFirstChunk * (2^k - 1).
+  const std::uint32_t k = std::bit_width(index / kFirstChunk + 1) - 1;
+  return chunks_[k] + (index - kFirstChunk * ((std::uint32_t{1} << k) - 1));
+}
+
+// A cancelled record whose node has just left the calendar.
+void Simulation::retire_stale(EventRecord& record) {
+  record.node.state = State::kIdle;
+  pool_.release(record);
+  --stale_;
 }
 
 bool Simulation::cancel(EventId id) {
-  const auto index = static_cast<std::uint32_t>(id);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
-  if (gen == 0 || index >= slots_.size()) return false;
-  Slot& slot = slots_[index];
-  // The action check rejects ids forged for a currently-free slot.
-  if (slot.generation != gen || !slot.action) return false;
-  slot.action.reset();
-  release_slot(index);
+  EventRecord* record = pool_.find(static_cast<std::uint32_t>(id));
+  // The state check rejects ids forged for a currently-free record.
+  if (gen == 0 || record == nullptr || record->generation != gen ||
+      record->node.state != State::kLinked) {
+    return false;
+  }
+  record->action.reset();
+  record->invalidate_ids();
+  record->node.state = State::kCancelled;
+  --live_records_;
   ++stale_;
-  if (tracer_) trace(TraceKind::kEventCancelled, lbl_event_, id);
+  if (tracer_) trace(TraceKind::kEventCancelled, lbl_event_, id, record->node.seq());
   // Lazy deletion keeps cancel O(1); compact once stale entries dominate
   // so cancel-heavy workloads cannot grow the calendar without bound.
   if (stale_ * 2 > calendar_entries() && calendar_entries() >= kCompactFloor) {
@@ -125,7 +168,7 @@ bool Simulation::cancel(EventId id) {
 // --- d-ary heap ----------------------------------------------------------
 //
 // A wide implicit heap cuts the tree depth of the binary
-// std::priority_queue it replaces, and the 24-byte children of a node are
+// std::priority_queue it replaces, and the children of a node are
 // scanned contiguously with a single branchless 128-bit key compare each
 // — fewer, more predictable memory touches per sift than a binary heap's
 // pointer-chasing depth.
@@ -155,16 +198,13 @@ void Simulation::sift_down(std::size_t i) {
 }
 
 void Simulation::compact_calendar() {
-  std::size_t removed = 0;
-  std::size_t keep = 0;
-  for (const HeapEntry& entry : heap_) {
-    if (slots_[entry.slot].generation == entry.gen) {
-      heap_[keep++] = entry;
-    } else {
-      ++removed;
-    }
-  }
-  heap_.resize(keep);
+  // Every stale node is a cancelled record: retire it to the pool.
+  const auto stale = [this](CalendarNode* node) {
+    if (node->state != State::kCancelled) return false;
+    retire_stale(*record_of(node));
+    return true;
+  };
+  std::erase_if(heap_, [&](const HeapEntry& entry) { return stale(entry.node); });
   if (heap_.size() > 1) {
     // Floyd heapify: sift down every internal node, deepest first.
     for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {
@@ -172,48 +212,38 @@ void Simulation::compact_calendar() {
     }
   }
   // Filter the immediate lane in place, preserving FIFO order.
-  std::size_t write = 0;
-  for (std::size_t read = now_head_; read < now_queue_.size(); ++read) {
-    const NowEntry& entry = now_queue_[read];
-    if (slots_[entry.slot].generation == entry.gen) {
-      now_queue_[write++] = entry;
-    } else {
-      ++removed;
-    }
+  CalendarNode* lane = std::exchange(lane_head_, nullptr);
+  lane_tail_ = nullptr;
+  lane_size_ = 0;
+  while (lane != nullptr) {
+    CalendarNode* next = lane->next;
+    if (!stale(lane)) lane_push(*lane);
+    lane = next;
   }
-  now_queue_.resize(write);
-  now_head_ = 0;
   // Filter every wheel bucket's list in place, preserving its key order.
   for (std::size_t w = 0; w < kWheelWords; ++w) {
     for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
       WheelBucket& bucket = wheel_buckets_[b];
-      std::uint32_t last = kNoSlot;
-      for (std::uint32_t node = bucket.head; node != kNoSlot;) {
-        const WheelNode entry = wheel_nodes_[node];
-        if (slots_[entry.slot].generation == entry.gen) {
-          if (last == kNoSlot) {
-            bucket.head = node;
-          } else {
-            wheel_nodes_[last].next = node;
-          }
-          last = node;
-        } else {
-          wheel_free_node(node);
+      CalendarNode* last = nullptr;
+      for (CalendarNode* node = bucket.head; node != nullptr;) {
+        CalendarNode* next = node->next;
+        if (stale(node)) {
           --wheel_size_;
-          ++removed;
+        } else {
+          (last != nullptr ? last->next : bucket.head) = node;
+          last = node;
         }
-        node = entry.next;
+        node = next;
       }
-      if (last == kNoSlot) {
+      if (last == nullptr) {
         wheel_clear_bit(b);
       } else {
-        wheel_nodes_[last].next = kNoSlot;
+        last->next = nullptr;
         bucket.tail = last;
       }
     }
   }
-  stale_ -= removed;
 }
 
 // --- timing wheel --------------------------------------------------------
@@ -241,51 +271,44 @@ void Simulation::wheel_clear_bit(std::size_t bucket) {
   if (word == 0) wheel_summary_ &= ~(std::uint64_t{1} << (bucket / 64));
 }
 
-void Simulation::wheel_free_node(std::uint32_t node) {
-  wheel_nodes_[node].next = wheel_free_;
-  wheel_free_ = node;
-}
-
-// The out-of-line half of wheel_push: `key` precedes the tail of the
-// occupied `bucket`.  Keyed events (their seq was reserved earlier) and
-// a later-scheduled event at an earlier time inside the same quarter
+// The out-of-line half of wheel_push: `node`'s key precedes the tail of
+// the occupied `bucket`.  Keyed events (their seq was reserved earlier)
+// and a later-scheduled event at an earlier time inside the same quarter
 // cycle land here.  Prepending is O(1); otherwise the walk from the head
 // is bounded, and an insert that would go deeper takes the heap, which
 // is just as exact (pop_next merges by key) and keeps a reverse-ordered
 // fan-out into one bucket linear rather than quadratic.
-void Simulation::wheel_insert(std::size_t bucket, unsigned __int128 key,
-                              std::uint32_t slot, std::uint32_t gen) {
+void Simulation::wheel_insert(std::size_t bucket, CalendarNode& node) {
   WheelBucket& b = wheel_buckets_[bucket];
-  if (key < wheel_nodes_[b.head].key) {
-    b.head = wheel_new_node(key, slot, gen, b.head);
+  if (node.key < b.head->key) {
+    node.next = b.head;
+    b.head = &node;
     ++wheel_size_;
     return;
   }
   // head.key <= key < tail.key, so a successor with a larger key exists
   // within the list: the walk never runs off its end.
-  std::uint32_t prev = b.head;
+  CalendarNode* prev = b.head;
   for (std::size_t step = 0; step < kWheelWalk; ++step) {
-    const std::uint32_t next = wheel_nodes_[prev].next;
-    if (key < wheel_nodes_[next].key) {
-      const std::uint32_t node = wheel_new_node(key, slot, gen, next);
-      wheel_nodes_[prev].next = node;
+    CalendarNode* next = prev->next;
+    if (node.key < next->key) {
+      node.next = next;
+      prev->next = &node;
       ++wheel_size_;
       return;
     }
     prev = next;
   }
-  heap_push(HeapEntry{key, slot, gen});
+  heap_push(HeapEntry{node.key, &node});
 }
 
 void Simulation::wheel_pop_front(std::size_t bucket) {
   WheelBucket& b = wheel_buckets_[bucket];
-  const std::uint32_t node = b.head;
-  if (node == b.tail) {
+  if (b.head == b.tail) {
     wheel_clear_bit(bucket);
   } else {
-    b.head = wheel_nodes_[node].next;
+    b.head = b.head->next;
   }
-  wheel_free_node(node);
   --wheel_size_;
 }
 
@@ -301,21 +324,21 @@ void Simulation::advance_to(SimTime t) {
   }
 }
 
-// Pops the next live event in global (time, seq) order into `out`.  Each
-// of the immediate lane, the wheel's first bucket and the heap yields its
-// own entries in key order, so the smallest of their three front keys is
-// the global minimum — the same event a single heap holding everything
-// would pop.  Stale (cancelled) fronts are retired lazily.  With
-// `bounded`, live events beyond `horizon` are left in place and false is
-// returned.
-bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
+// Unlinks and returns the next live node in global (time, seq) order.
+// Each of the immediate lane, the wheel's first bucket and the heap
+// yields its own nodes in key order, so the smallest of their three
+// front keys is the global minimum — the same event a single heap
+// holding everything would pop.  Stale (cancelled) fronts are retired
+// lazily.  With `bounded`, live events beyond `horizon` are left in
+// place and nullptr is returned.
+CalendarNode* Simulation::pop_next(bool bounded, SimTime horizon) {
   enum class Source { kNone, kLane, kWheel, kHeap };
   for (;;) {
     Source source = Source::kNone;
     unsigned __int128 best = 0;
-    if (now_head_ < now_queue_.size()) {
+    if (lane_head_ != nullptr) {
       source = Source::kLane;
-      best = heap_key(now_, now_queue_[now_head_].seq);
+      best = lane_head_->key;
     }
     // Wheel entries can sit at exactly now_ with an older seq than the
     // lane front (scheduled before now_ reached their time), so the
@@ -333,8 +356,7 @@ bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
         bucket = wheel_front_bucket();
       }
       if (occupied) {
-        const unsigned __int128 key =
-            wheel_nodes_[wheel_buckets_[bucket].head].key;
+        const unsigned __int128 key = wheel_buckets_[bucket].head->key;
         if (source == Source::kNone || key < best) {
           source = Source::kWheel;
           best = key;
@@ -345,117 +367,113 @@ bool Simulation::pop_next(HeapEntry& out, bool bounded, SimTime horizon) {
         (source == Source::kNone || heap_.front().key < best)) {
       source = Source::kHeap;
     }
+    CalendarNode* node = nullptr;
     switch (source) {
       case Source::kNone:
-        return false;
-      case Source::kLane: {
-        const NowEntry entry = now_queue_[now_head_++];
-        if (now_head_ == now_queue_.size()) {
-          now_queue_.clear();
-          now_head_ = 0;
-        } else if (now_head_ >= kCompactFloor &&
-                   now_head_ * 2 >= now_queue_.size()) {
-          // Sustained same-time cascades can keep the lane non-empty for
-          // a whole timestamp; reclaim the consumed prefix once it
-          // dominates so lane memory stays O(pending), not O(events at
-          // this time).
-          now_queue_.erase(now_queue_.begin(),
-                           now_queue_.begin() +
-                               static_cast<std::ptrdiff_t>(now_head_));
-          now_head_ = 0;
+        return nullptr;
+      case Source::kLane:
+        // Lane nodes sit at now_, never beyond a horizon.
+        node = lane_head_;
+        lane_head_ = node->next;
+        if (lane_head_ == nullptr) lane_tail_ = nullptr;
+        --lane_size_;
+        break;
+      case Source::kWheel:
+        node = wheel_buckets_[bucket].head;
+        if (bounded && node->state == State::kLinked && node->time() > horizon) {
+          return nullptr;
         }
-        if (slots_[entry.slot].generation != entry.gen) {
-          --stale_;
-          continue;
-        }
-        out = HeapEntry{heap_key(now_, entry.seq), entry.slot, entry.gen};
-        return true;
-      }
-      case Source::kWheel: {
-        const WheelNode& node = wheel_nodes_[wheel_buckets_[bucket].head];
-        const HeapEntry entry{node.key, node.slot, node.gen};
-        if (slots_[entry.slot].generation != entry.gen) {
-          wheel_pop_front(bucket);
-          --stale_;
-          continue;
-        }
-        if (bounded && entry.time() > horizon) return false;
         wheel_pop_front(bucket);
-        out = entry;
-        return true;
-      }
-      case Source::kHeap: {
-        const HeapEntry entry = heap_.front();
-        if (slots_[entry.slot].generation != entry.gen) {
-          heap_pop_top();
-          --stale_;
-          continue;
+        break;
+      case Source::kHeap:
+        node = heap_.front().node;
+        if (bounded && node->state == State::kLinked && node->time() > horizon) {
+          return nullptr;
         }
-        if (bounded && entry.time() > horizon) return false;
         heap_pop_top();
-        out = entry;
-        return true;
-      }
+        break;
     }
+    if (node->state == State::kCancelled) {
+      retire_stale(*record_of(node));
+      continue;
+    }
+    return node;
   }
 }
 
-void Simulation::dispatch(const HeapEntry& entry) {
-  // Relocate the action out of the pool and retire the slot before
-  // invoking: the callback may schedule (growing/reusing the pool) or
-  // cancel, and must observe this event as already dispatched.
-  EventAction action = std::move(slots_[entry.slot].action);
-  release_slot(entry.slot);
+void Simulation::dispatch(CalendarNode& node) {
+  const SimTime t = node.time();
   // Calendar corruption that survives pop_next's repair (a heap sift, a
   // wheel bucket pop) still surfaces as an out-of-order dispatch; in
   // audit mode that is fatal, not silent.
   if (audit_) {
-    ensure(entry.time() >= now_,
+    ensure(t >= now_,
            "Simulation audit: dispatch time moved backwards (calendar "
            "order violated)");
   }
-  advance_to(entry.time());
-  current_seq_ = entry.seq();
+  advance_to(t);
+  current_seq_ = node.seq();
   ++dispatched_;
-  if (tracer_) {
-    const EventId id =
-        (static_cast<EventId>(entry.gen) << 32) | static_cast<EventId>(entry.slot);
-    trace(TraceKind::kEventDispatched, lbl_event_, id);
-  }
-  if (audit_) {
-    audit_->record(now_, current_seq_, action.kind_id());
-    if (audit_countdown_ == 0) {
-      audit_check_now();
-      // Next sweep after ~pool-size events: the sweep is O(slots +
-      // calendar), so the audit tax stays O(1) amortized per dispatch.
-      audit_countdown_ = std::max<std::uint64_t>(kAuditCheckFloor,
-                                                 slots_.size());
-    } else {
-      --audit_countdown_;
-    }
-  }
-  if (profiler_) {
-    dispatch_profiled(action);
+  node.state = State::kIdle;
+  if (node.process) {
+    // The woken process may link this node again before resume returns.
+    --live_wakes_;
+    const auto frame = std::coroutine_handle<>::from_address(hook_of(node).frame);
+    run_observed(EventAction::kWakeKindId, kInvalidEvent, [frame] { frame.resume(); });
   } else {
-    action.invoke();
+    // The callback must observe this event as already dispatched (a
+    // cancel of its id fails), so the generation moves on first; the
+    // record rejoins the free list only once the callback has returned,
+    // so it runs in place with no relocation, even if it schedules.
+    EventRecord& record = *record_of(&node);
+    const EventId id = record.id();
+    record.invalidate_ids();
+    --live_records_;
+    ++running_records_;
+    struct Release {
+      Simulation& sim;
+      EventRecord& record;
+      ~Release() {
+        --sim.running_records_;
+        sim.pool_.release(record);
+      }
+    } release{*this, record};
+    run_observed(record.action.kind_id(), id, [&record] { record.action.invoke(); });
   }
   current_seq_ = 0;  // outside dispatch the documented value is 0
 }
 
-void Simulation::dispatch_profiled(EventAction& action) {
+template <typename Invoke>
+void Simulation::run_observed(std::uint8_t kind, EventId id, Invoke&& invoke) {
+  if (tracer_) trace(TraceKind::kEventDispatched, lbl_event_, id, current_seq_);
+  if (audit_) {
+    audit_->record(now_, current_seq_, kind);
+    if (audit_countdown_ == 0) {
+      audit_check_now();
+      // Next sweep after ~pool + calendar events: the sweep is O(pool +
+      // calendar), so the audit tax stays O(1) amortized per dispatch.
+      audit_countdown_ = std::max<std::uint64_t>(
+          kAuditCheckFloor, pool_.size() + calendar_entries());
+    } else {
+      --audit_countdown_;
+    }
+  }
+  if (!profiler_) {
+    invoke();
+    return;
+  }
   // Counts are exact; wall time is sampled (one steady_clock pair every
   // kSampleEvery dispatches, attributed to that dispatch's kind) so the
   // timer cost is amortized to noise.  steady_clock measures wall time
   // only — it never feeds model state, so determinism is unaffected.
-  const std::uint8_t kind = action.kind_id();
   profiler_->count(kind);
   if (profiler_->sample_due()) {
     const auto t0 = std::chrono::steady_clock::now();
-    action.invoke();
+    invoke();
     const std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
     profiler_->record_sample(kind, dt.count());
   } else {
-    action.invoke();
+    invoke();
   }
 }
 
@@ -468,27 +486,25 @@ void Simulation::rethrow_pending() {
 }
 
 void Simulation::run() {
-  HeapEntry entry;
-  while (pop_next(entry, /*bounded=*/false, 0.0)) {
-    dispatch(entry);
+  while (CalendarNode* node = pop_next(/*bounded=*/false, 0.0)) {
+    dispatch(*node);
     rethrow_pending();
   }
 }
 
 void Simulation::run_until(SimTime horizon) {
   ensure(horizon >= now_, "Simulation::run_until: horizon is in the past");
-  HeapEntry entry;
-  while (pop_next(entry, /*bounded=*/true, horizon)) {
-    dispatch(entry);
+  while (CalendarNode* node = pop_next(/*bounded=*/true, horizon)) {
+    dispatch(*node);
     rethrow_pending();
   }
   advance_to(horizon);
 }
 
 bool Simulation::step() {
-  HeapEntry entry;
-  if (!pop_next(entry, /*bounded=*/false, 0.0)) return false;
-  dispatch(entry);
+  CalendarNode* node = pop_next(/*bounded=*/false, 0.0);
+  if (node == nullptr) return false;
+  dispatch(*node);
   rethrow_pending();
   return true;
 }
@@ -506,6 +522,24 @@ void Simulation::set_audit(bool enabled) {
   }
 }
 
+/// Counts the nodes found in the calendar's structures by owner and state.
+struct Simulation::AuditTally {
+  std::size_t records = 0;    // pending pooled events
+  std::size_t wakes = 0;      // pending process wakes
+  std::size_t cancelled = 0;  // stale records
+
+  void add(const CalendarNode& node) {
+    ensure(node.state != State::kIdle,
+           "Simulation audit: calendar holds an unlinked node");
+    if (node.state == State::kCancelled) {
+      ensure(!node.process, "Simulation audit: a process wake was cancelled");
+      ++cancelled;
+    } else {
+      ++(node.process ? wakes : records);
+    }
+  }
+};
+
 void Simulation::audit_check_now() const {
   // 4-ary heap order: every entry's key must not precede its parent's.
   for (std::size_t i = 1; i < heap_.size(); ++i) {
@@ -513,33 +547,54 @@ void Simulation::audit_check_now() const {
     ensure(!before(heap_[i], heap_[parent]),
            "Simulation audit: heap order violated (child precedes parent)");
   }
-  // Slot pool: the free list must be acyclic, in range, and account for
-  // exactly the slots that live_events_ does not.
+  AuditTally tally;
+  for (const HeapEntry& entry : heap_) {
+    ensure(entry.key == entry.node->key,
+           "Simulation audit: heap entry key differs from its node's");
+    tally.add(*entry.node);
+  }
+  // Immediate lane: every node at now_, in strictly increasing seq order.
+  std::size_t lane = 0;
+  const CalendarNode* last = nullptr;
+  for (const CalendarNode* node = lane_head_; node != nullptr; node = node->next) {
+    ensure(++lane <= lane_size_, "Simulation audit: lane longer than its count");
+    ensure(node->time() == now_ && (last == nullptr || last->key < node->key),
+           "Simulation audit: lane entry out of FIFO key order");
+    tally.add(*node);
+    last = node;
+  }
+  ensure(lane == lane_size_ && last == lane_tail_,
+         "Simulation audit: lane count or tail broken");
+  audit_wheel(tally);
+  // Every node in a structure is counted once; the totals must equal the
+  // kernel's counters exactly.
+  ensure(tally.records == live_records_ && tally.wakes == live_wakes_ &&
+             tally.cancelled == stale_,
+         "Simulation audit: calendar nodes disagree with the live/stale counts");
+  // Record pool: the free list must be acyclic, hold only idle empty
+  // records, and account for exactly the records neither live, stale nor
+  // running their callback.
   std::size_t free_count = 0;
-  for (std::uint32_t index = free_head_; index != kNoSlot;
-       index = slots_[index].next_free) {
-    ensure(index < slots_.size(),
-           "Simulation audit: free-list index out of range");
-    ensure(++free_count <= slots_.size(),
-           "Simulation audit: free-list cycle");
+  for (const EventRecord* r = pool_.free_head(); r != nullptr;
+       r = record_of(r->node.next)) {
+    ensure(++free_count <= pool_.size(), "Simulation audit: free-list cycle");
+    ensure(r->node.state == State::kIdle && !r->action,
+           "Simulation audit: a free record is linked or holds an action");
   }
-  ensure(free_count + live_events_ == slots_.size(),
-         "Simulation audit: slot accounting mismatch (free + live != pool)");
-  for (const Slot& slot : slots_) {
-    ensure(slot.generation != 0,
-           "Simulation audit: slot generation hit the 0 sentinel");
-  }
-  audit_wheel();
-  // Calendar: stale entries are a subset of calendar entries.
-  ensure(stale_ <= calendar_entries(),
-         "Simulation audit: stale count exceeds calendar size");
+  ensure(free_count + live_records_ + stale_ + running_records_ == pool_.size(),
+         "Simulation audit: record accounting mismatch (free + live + stale "
+         "+ running != pool)");
+  pool_.for_each([](const EventRecord& r) {
+    ensure(r.generation != 0,
+           "Simulation audit: record generation hit the 0 sentinel");
+  });
 }
 
-void Simulation::audit_wheel() const {
+void Simulation::audit_wheel(AuditTally& tally) const {
   // Each non-empty bucket holds times inside the wheel window whose tick
   // maps to that bucket, in strictly increasing (time, seq) key order;
-  // the summary word mirrors the bitmap; pooled nodes are either chained
-  // in a bucket or on the free list.
+  // the summary word mirrors the bitmap; the chained nodes number exactly
+  // wheel_size_.
   std::size_t chained = 0;
   for (std::size_t w = 0; w < kWheelWords; ++w) {
     ensure(((wheel_summary_ >> w) & 1U) == (wheel_bits_[w] != 0 ? 1U : 0U),
@@ -547,50 +602,39 @@ void Simulation::audit_wheel() const {
     for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
       const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
       const WheelBucket& bucket = wheel_buckets_[b];
-      std::uint32_t last = kNoSlot;
-      for (std::uint32_t node = bucket.head; node != kNoSlot;
-           node = wheel_nodes_[node].next) {
-        ensure(node < wheel_nodes_.size(),
-               "Simulation audit: wheel node index out of range");
-        ensure(++chained <= wheel_nodes_.size(), "Simulation audit: wheel chain cycle");
-        const HeapEntry entry{wheel_nodes_[node].key, 0, 0};
-        const SimTime t = entry.time();
+      const CalendarNode* last = nullptr;
+      for (const CalendarNode* node = bucket.head; node != nullptr; node = node->next) {
+        ensure(++chained <= wheel_size_, "Simulation audit: wheel chain cycle");
+        const SimTime t = node->time();
         ensure(t >= now_ && t < wheel_limit_ &&
                    (static_cast<std::size_t>(wheel_tick(t)) & kWheelMask) == b,
                "Simulation audit: wheel entry outside its bucket's quarter cycle");
-        ensure(last == kNoSlot || wheel_nodes_[last].key < entry.key,
+        ensure(last == nullptr || last->key < node->key,
                "Simulation audit: wheel bucket out of key order");
+        tally.add(*node);
         last = node;
       }
-      ensure(last != kNoSlot && last == bucket.tail,
+      ensure(last != nullptr && last == bucket.tail,
              "Simulation audit: wheel bucket head/tail broken");
     }
   }
   ensure(chained == wheel_size_,
          "Simulation audit: wheel size disagrees with its buckets");
-  std::size_t free_nodes = 0;
-  for (std::uint32_t node = wheel_free_; node != kNoSlot;
-       node = wheel_nodes_[node].next) {
-    ensure(node < wheel_nodes_.size() && ++free_nodes <= wheel_nodes_.size(),
-           "Simulation audit: wheel free list broken");
-  }
-  ensure(free_nodes + wheel_size_ == wheel_nodes_.size(),
-         "Simulation audit: wheel node accounting mismatch");
 }
 
 void Simulation::corrupt_calendar_for_test() {
   if (wheel_size_ >= 2) {
     // First and last chained nodes, in bitmap order.
-    std::uint32_t first = kNoSlot;
-    std::uint32_t last = kNoSlot;
+    CalendarNode* first = nullptr;
+    CalendarNode* last = nullptr;
     for (std::size_t w = 0; w < kWheelWords; ++w) {
       for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
         const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-        if (first == kNoSlot) first = wheel_buckets_[b].head;
+        if (first == nullptr) first = wheel_buckets_[b].head;
         last = wheel_buckets_[b].tail;
       }
     }
-    std::swap(wheel_nodes_[first].key, wheel_nodes_[last].key);
+    std::swap(first->key, last->key);
     return;
   }
   ensure(heap_.size() >= 2,
@@ -601,11 +645,11 @@ void Simulation::corrupt_calendar_for_test() {
 // --- process layer hooks -------------------------------------------------
 
 void Simulation::spawn(Process process) {
-  auto h = process.release_for_spawn(*this);
+  ProcessHook& hook = process.release_for_spawn(*this).promise().hook;
   if (tracer_) trace(TraceKind::kProcessSpawned, lbl_process_);
   // Start the body via the calendar so spawn() never runs model code inline;
   // this keeps spawn order == start order at a given timestamp.
-  resume_soon(h);
+  resume_soon(hook);
 }
 
 void Simulation::register_process(ProcessHook& hook) {

@@ -15,34 +15,39 @@
 // scheduling order, so a model that uses only Simulation-provided
 // primitives and pimsim::Rng streams is bit-reproducible.
 //
-// Internals (see src/des/README.md, "The calendar"): events live in a
-// generation-tagged slot pool.  The calendar that orders them by a
-// 128-bit (time, seq) key has three parts, each of which yields its
-// entries in key order on its own:
-//   * the immediate lane: a FIFO of events scheduled exactly at now();
+// Internals (see src/des/README.md, "The calendar"): every pending event
+// is a CalendarNode carrying its 128-bit (time, seq) key.  A process
+// wake's node lives in the process itself (ProcessHook::node, inside
+// the coroutine promise: a suspended process has at most one pending
+// wake); every other event is one pooled EventRecord holding its node
+// and its EventAction at a stable address.  The calendar that orders the
+// nodes has three parts, each of which yields its entries in key order
+// on its own:
+//   * the immediate lane: an intrusive FIFO of events scheduled exactly
+//     at now();
 //   * the timing wheel: 4096 buckets of a quarter cycle each, holding
 //     every event (keyed or not, integral time or not) less than
-//     kWheelSpan = 1024 cycles ahead, each bucket a list kept in key
-//     order (O(1) append or prepend, else a walk of at most kWheelWalk
-//     nodes);
-//   * a 4-ary min-heap for far events and for the rare near one whose
-//     in-bucket walk would be longer than kWheelWalk.
+//     kWheelSpan = 1024 cycles ahead, each bucket an intrusive list kept
+//     in key order (O(1) append or prepend, else a walk of at most
+//     kWheelWalk nodes);
+//   * a 4-ary min-heap of (key, node) entries for far events and for the
+//     rare near one whose in-bucket walk would be longer than kWheelWalk.
 // pop_next takes the smallest key among the three fronts, so the merged
-// order is exactly the heap-only order.  cancel() bumps the slot's
-// generation in O(1) and leaves a stale entry behind, which dispatch
-// skips lazily and a compaction pass reclaims whenever stale entries
-// outnumber live ones.  Callbacks are EventAction tagged unions, so the
-// coroutine-resume paths (resume_soon / delay / mailbox wake-ups) never
-// touch the heap allocator.
+// order is exactly the heap-only order.  cancel() (pooled events only:
+// wakes have no EventId) bumps the record's generation in O(1) and
+// leaves its node linked as a stale entry, which dispatch retires lazily
+// and a compaction pass reclaims whenever stale entries outnumber live
+// ones.  Nothing on the wake path (spawn, delay, mailbox and resource
+// wake-ups) touches the allocator or the record pool.
 #pragma once
 
 #include <array>
-#include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -62,18 +67,46 @@ namespace pimsim::des {
 
 class Process;
 
-/// Identifies a scheduled event so it can be cancelled before dispatch.
-/// Encodes (slot generation << 32 | slot index); stale ids never match.
+/// Identifies a pooled event so it can be cancelled before dispatch.
+/// Encodes (record generation << 32 | record index); stale ids never
+/// match.  Process wakes have none.
 using EventId = std::uint64_t;
-/// Sentinel returned when no cancellable handle is needed.
+/// Sentinel for "no cancellable handle" (also the id traced for wakes).
 inline constexpr EventId kInvalidEvent = 0;
 
-/// Intrusive live-registry hook embedded in every spawned process's
-/// promise: the kernel's live list holds hook pointers and each hook
-/// remembers its own list position, so register/unregister are O(1)
-/// swap-and-pop with no address-to-position map.
+/// A calendar entry: the key that orders it and the link that chains it
+/// into the immediate lane or a wheel bucket.  Nodes never move while
+/// linked, so the calendar's structures hold plain pointers to them.
+struct CalendarNode {
+  enum class State : std::uint8_t {
+    kIdle,       // in no structure
+    kLinked,     // pending
+    kCancelled,  // a cancelled pooled event still linked (stale)
+  };
+  unsigned __int128 key = 0;  // (bit_cast<u64>(time) << 64) | seq
+  CalendarNode* next = nullptr;
+  State state = State::kIdle;
+  bool process = false;  // a ProcessHook's wake node, else an EventRecord's
+
+  [[nodiscard]] SimTime time() const {
+    const auto bits = static_cast<std::uint64_t>(key >> 64);
+    SimTime t;
+    __builtin_memcpy(&t, &bits, sizeof(t));
+    return t;
+  }
+  [[nodiscard]] std::uint64_t seq() const {
+    return static_cast<std::uint64_t>(key);
+  }
+};
+
+/// Kernel state embedded in every spawned process's promise: the wake
+/// node (the process's one pending resume, linked by resume_at /
+/// resume_in / resume_soon), the frame to resume, and the live-registry
+/// position (the live list holds hook pointers, so register/unregister
+/// are O(1) swap-and-pop with no address-to-position map).
 struct ProcessHook {
-  void* frame = nullptr;     // coroutine frame address, for teardown
+  CalendarNode node{.process = true};  // first: a node pointer is the hook's
+  void* frame = nullptr;     // coroutine frame address, resumed on wake
   std::size_t live_pos = 0;  // index in the live list while registered
 };
 
@@ -109,7 +142,8 @@ class Simulation {
   }
 
   /// Cancels a pending event; returns false if already dispatched/unknown.
-  /// O(1): the slot is reclaimed immediately, the calendar entry decays.
+  /// O(1): the record's node stays linked as a stale entry and is
+  /// reclaimed when it surfaces (or by compaction).
   bool cancel(EventId id);
 
   /// Runs until the event calendar is empty.
@@ -121,20 +155,23 @@ class Simulation {
 
   /// Number of events dispatched so far (diagnostic).
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
-  /// Number of live (schedulable, not cancelled) events currently pending.
-  [[nodiscard]] std::size_t events_pending() const { return live_events_; }
+  /// Number of live (schedulable, not cancelled) events currently
+  /// pending: pooled events plus process wakes.
+  [[nodiscard]] std::size_t events_pending() const {
+    return live_records_ + live_wakes_;
+  }
   /// Calendar entries (immediate lane + wheel + heap), including stale
   /// ones awaiting lazy removal.  Bounded at < 2x events_pending() +
   /// compaction floor (leak diagnostic).
   [[nodiscard]] std::size_t calendar_entries() const {
-    return heap_.size() + wheel_size_ + (now_queue_.size() - now_head_);
+    return heap_.size() + wheel_size_ + lane_size_;
   }
   /// Stale (cancelled) calendar entries not yet compacted away.
   [[nodiscard]] std::size_t stale_calendar_entries() const { return stale_; }
 
   /// Starts a coroutine process; the simulation owns its frame.
   /// The process body begins executing at the current simulation time
-  /// (via an immediate event), not synchronously inside spawn().
+  /// (via an immediate wake), not synchronously inside spawn().
   void spawn(Process process);
 
   /// Number of live (spawned, unfinished) processes.
@@ -175,8 +212,8 @@ class Simulation {
   //
   // When enabled, every dispatch folds its (time, seq, action-kind) tuple
   // into an FNV-1a hash chain, and O(1)-amortized invariant sweeps cover
-  // the calendar order (heap order, wheel bucket placement and key
-  // order), the slot-pool generations/free list, and any
+  // the calendar order (heap order, lane order, wheel bucket placement
+  // and key order), the exact node and record-pool accounting, and any
   // component self-checks keyed off audit_enabled() (the packet network
   // audits its credit ledgers).  When off, the cost is one predicted
   // branch per dispatch — the tracing_enabled() pattern, held to the
@@ -277,21 +314,23 @@ class Simulation {
   }
 
   // --- internal hooks used by the process layer (see process.hpp) ---
+  //
+  // A wake links the process's own ProcessHook::node: no record, no
+  // EventAction, no EventId.  A suspended process has at most one
+  // pending wake; scheduling a second throws LogicError.
 
-  /// Schedules resumption of a suspended coroutine at absolute time `at`.
-  /// Allocation-free: the calendar stores the raw handle.
-  EventId resume_at(SimTime at, std::coroutine_handle<> h) {
-    return schedule_action(at, EventAction::resume(h));
+  /// Wakes the suspended process at absolute time `at` (>= now).
+  void resume_at(SimTime at, ProcessHook& hook) {
+    ensure(at >= now_, "Simulation::resume_at: cannot schedule in the past");
+    link_wake(at, hook.node);
   }
-  /// Schedules resumption after `delay` cycles (the delay() fast path).
-  EventId resume_in(Cycles delay, std::coroutine_handle<> h) {
+  /// Wakes the suspended process after `delay` cycles (the delay() path).
+  void resume_in(Cycles delay, ProcessHook& hook) {
     ensure(delay >= 0.0, "Simulation::resume_in: negative delay");
-    return schedule_action(now_ + delay, EventAction::resume(h));
+    link_wake(now_ + delay, hook.node);
   }
-  /// Schedules resumption at now(), after pending same-time events.
-  void resume_soon(std::coroutine_handle<> h) {
-    (void)schedule_action(now_, EventAction::resume(h));
-  }
+  /// Wakes the suspended process at now(), after pending same-time events.
+  void resume_soon(ProcessHook& hook) { link_wake(now_, hook.node); }
   /// Registers/unregisters live process frames for cleanup; `hook.frame`
   /// must hold the frame address.
   void register_process(ProcessHook& hook);
@@ -300,37 +339,96 @@ class Simulation {
   void set_pending_exception(std::exception_ptr ep);
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  using State = CalendarNode::State;
+
   /// Compaction is skipped below this calendar size: a bounded number of
   /// stale entries is cheaper to skip at dispatch than to rebuild away.
   static constexpr std::size_t kCompactFloor = 64;
-  /// Initial capacity of the slot pool, calendar and registry vectors.
+  /// Initial capacity of the heap and registry vectors.
   static constexpr std::size_t kInitialCapacity = 64;
 
-  struct Slot {
+  /// A pooled (non-wake) event: its node, its callback, and the
+  /// generation that validates EventIds.  Free records chain through
+  /// node.next.
+  struct EventRecord {
+    explicit EventRecord(std::uint32_t at) : index(at) {}
+
+    CalendarNode node;  // first: a node pointer is the record's address
     EventAction action;
     std::uint32_t generation = 1;  // bumped on dispatch/cancel; never 0
-    std::uint32_t next_free = kNoSlot;
+    std::uint32_t index = 0;       // position in the pool, for EventIds
+
+    [[nodiscard]] EventId id() const {
+      return (static_cast<EventId>(generation) << 32) | index;
+    }
+    /// Makes every id handed out so far stale (0 is the id sentinel).
+    void invalidate_ids() {
+      if (++generation == 0) generation = 1;
+    }
+  };
+  static_assert(std::is_standard_layout_v<EventRecord>, "record_of casts");
+
+  /// EventRecords at stable addresses: chunk k holds kFirstChunk << k
+  /// records, constructed on first use (so a short run touches only the
+  /// first, small chunk) and recycled LIFO through a free list.
+  class RecordPool {
+   public:
+    static constexpr std::uint32_t kFirstChunk = 64;
+    /// 64 * (2^26 - 1) records: the most whose indices fit an EventId.
+    static constexpr std::size_t kMaxChunks = 26;
+
+    RecordPool() = default;
+    RecordPool(const RecordPool&) = delete;
+    RecordPool& operator=(const RecordPool&) = delete;
+    ~RecordPool();
+
+    EventRecord& acquire() {
+      if (free_ != nullptr) {
+        EventRecord& r = *free_;
+        free_ = record_of(r.node.next);
+        return r;
+      }
+      if (bump_ != end_) return *::new (static_cast<void*>(bump_++)) EventRecord(size_++);
+      return grow();
+    }
+    void release(EventRecord& r) {
+      r.node.next = free_ != nullptr ? &free_->node : nullptr;
+      free_ = &r;
+    }
+    /// The record at `index`, or nullptr past the constructed ones.
+    [[nodiscard]] EventRecord* find(std::uint32_t index) const;
+    /// Records constructed so far (free, live or stale).
+    [[nodiscard]] std::uint32_t size() const { return size_; }
+    [[nodiscard]] const EventRecord* free_head() const { return free_; }
+    template <typename F>
+    void for_each(F&& f) const {
+      for (std::uint32_t i = 0; i < size_; ++i) f(*find(i));
+    }
+
+   private:
+    EventRecord& grow();
+    static std::uint32_t chunk_size(std::size_t k) { return kFirstChunk << k; }
+
+    EventRecord* free_ = nullptr;
+    EventRecord* bump_ = nullptr;  // next unconstructed record of the last chunk
+    EventRecord* end_ = nullptr;
+    std::uint32_t size_ = 0;
+    std::vector<EventRecord*> chunks_;
   };
 
-  /// Calendar entry ordered by a single 128-bit (time, seq) key: event
-  /// times are non-negative, so the IEEE bit pattern of `time` compares
-  /// like the double itself, and one wide integer compare replaces the
-  /// two-branch (time, seq) comparison on the heap's hottest path.
-  struct HeapEntry {
-    unsigned __int128 key;  // (bit_cast<u64>(time) << 64) | seq
-    std::uint32_t slot;
-    std::uint32_t gen;  // stale once != slots_[slot].generation
+  static EventRecord* record_of(CalendarNode* node) {
+    return reinterpret_cast<EventRecord*>(node);
+  }
+  static ProcessHook& hook_of(CalendarNode& node) {
+    return *reinterpret_cast<ProcessHook*>(&node);
+  }
 
-    [[nodiscard]] SimTime time() const {
-      const auto bits = static_cast<std::uint64_t>(key >> 64);
-      SimTime t;
-      __builtin_memcpy(&t, &bits, sizeof(t));
-      return t;
-    }
-    [[nodiscard]] std::uint64_t seq() const {
-      return static_cast<std::uint64_t>(key);
-    }
+  /// Far-event entry: the node's key is copied in so a sift compares
+  /// contiguous keys with one branchless 128-bit compare each, never
+  /// dereferencing a node.
+  struct HeapEntry {
+    unsigned __int128 key;
+    CalendarNode* node;
   };
 
   static unsigned __int128 heap_key(SimTime time, std::uint64_t seq) {
@@ -339,32 +437,27 @@ class Simulation {
     return (static_cast<unsigned __int128>(bits) << 64) | seq;
   }
 
-  /// An event scheduled exactly at now(): lives in the immediate lane, a
-  /// FIFO ring that never pays a heap sift.  Always at time now_, ordered
-  /// by seq by construction.
-  struct NowEntry {
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-
   static bool before(const HeapEntry& a, const HeapEntry& b) {
     return a.key < b.key;
   }
 
   // The scheduling fast path is defined inline (below the class) so the
-  // resume_* hooks and template schedule_* compile down to a freelist pop,
-  // a tag store, and one queue push at every call site.
+  // resume_* hooks and template schedule_* compile down to a few stores
+  // and one list or bucket link at every call site.
   EventId schedule_action(SimTime at, EventAction action);
   EventId schedule_action_seq(SimTime at, std::uint64_t seq,
                               EventAction action);
-  std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t index);
+  void link_wake(SimTime at, CalendarNode& node);
+  void retire_stale(EventRecord& record);
   void advance_to(SimTime t);
-  bool pop_next(HeapEntry& out, bool bounded, SimTime horizon);
-  void dispatch(const HeapEntry& entry);
-  void dispatch_profiled(EventAction& action);
+  CalendarNode* pop_next(bool bounded, SimTime horizon);
+  void dispatch(CalendarNode& node);
+  template <typename Invoke>
+  void run_observed(std::uint8_t kind, EventId id, Invoke&& invoke);
   void rethrow_pending();
+
+  // Immediate lane: an intrusive FIFO through CalendarNode::next.
+  void lane_push(CalendarNode& node);
 
   // D-ary implicit min-heap over heap_ (children of i: D*i+1 .. D*i+D).
   static constexpr std::size_t kHeapArity = 4;
@@ -373,7 +466,8 @@ class Simulation {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void compact_calendar();
-  void audit_wheel() const;
+  struct AuditTally;
+  void audit_wheel(AuditTally& tally) const;
 
   // Timing wheel: kWheelBuckets buckets of 1/kWheelTicksPerCycle cycle
   // covering [now_tick_, now_tick_ + kWheelBuckets) in quarter-cycle
@@ -401,38 +495,26 @@ class Simulation {
     return static_cast<std::int64_t>(t * static_cast<SimTime>(kWheelTicksPerCycle));
   }
 
-  /// Wheel entry: pooled, chained into its bucket's key-ordered list (or
-  /// the node free list) through `next`.
-  struct WheelNode {
-    unsigned __int128 key;
-    std::uint32_t slot;
-    std::uint32_t gen;
-    std::uint32_t next;
-  };
   struct WheelBucket {
-    std::uint32_t head;  // valid only while the bucket's bit is set
-    std::uint32_t tail;
+    CalendarNode* head;  // valid only while the bucket's bit is set
+    CalendarNode* tail;
   };
 
-  void calendar_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
-                     std::uint32_t gen);
-  void wheel_push(SimTime at, std::uint64_t seq, std::uint32_t slot,
-                  std::uint32_t gen);
-  void wheel_insert(std::size_t bucket, unsigned __int128 key,
-                    std::uint32_t slot, std::uint32_t gen);
-  std::uint32_t wheel_new_node(unsigned __int128 key, std::uint32_t slot,
-                               std::uint32_t gen, std::uint32_t next);
+  void calendar_push(SimTime at, CalendarNode& node);
+  void wheel_push(SimTime at, CalendarNode& node);
+  void wheel_insert(std::size_t bucket, CalendarNode& node);
   [[nodiscard]] std::size_t wheel_front_bucket() const;
   void wheel_pop_front(std::size_t bucket);
   void wheel_clear_bit(std::size_t bucket);
-  void wheel_free_node(std::uint32_t node);
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t current_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::size_t live_events_ = 0;
-  std::size_t stale_ = 0;
+  std::size_t live_records_ = 0;  // pending pooled events (not cancelled)
+  std::size_t live_wakes_ = 0;    // pending process wakes
+  std::size_t stale_ = 0;         // cancelled records still linked
+  std::size_t running_records_ = 0;  // records whose callback is running
   std::vector<HeapEntry> heap_;
   // Timing wheel state.  Buckets are allocated on first use and never
   // initialized: the bitmap says which heads/tails are meaningful.
@@ -445,14 +527,11 @@ class Simulation {
   std::uint64_t wheel_summary_ = 0;  // bit w set iff wheel_bits_[w] != 0
   std::array<std::uint64_t, kWheelWords> wheel_bits_{};
   std::unique_ptr<WheelBucket[]> wheel_buckets_;
-  std::vector<WheelNode> wheel_nodes_;
-  std::uint32_t wheel_free_ = kNoSlot;
-  // Immediate lane: [now_head_, now_queue_.size()) are pending; the
-  // consumed prefix is recycled whenever the lane drains.
-  std::vector<NowEntry> now_queue_;
-  std::size_t now_head_ = 0;
-  std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoSlot;
+  // Immediate lane: every node is at time now_, in seq order.
+  CalendarNode* lane_head_ = nullptr;
+  CalendarNode* lane_tail_ = nullptr;
+  std::size_t lane_size_ = 0;
+  RecordPool pool_;
   // Live process frames in deterministic (insertion/swap) order: the
   // destructor tears frames down in this order, so shutdown side effects
   // cannot depend on pointer values.  Each hook stores its own position.
@@ -471,24 +550,13 @@ class Simulation {
   bool destroying_ = false;
   // Audit mode: null when off, so the dispatch hot path pays one branch.
   std::unique_ptr<AuditLog> audit_;
-  /// Dispatches until the next invariant sweep (amortizes the O(slots +
+  /// Dispatches until the next invariant sweep (amortizes the O(pool +
   /// calendar) sweep to O(1) per event).
   std::uint64_t audit_countdown_ = 0;
   static constexpr std::uint64_t kAuditCheckFloor = 64;
 };
 
 // --- inline scheduling fast path ----------------------------------------
-
-inline std::uint32_t Simulation::acquire_slot() {
-  if (free_head_ != kNoSlot) {
-    const std::uint32_t index = free_head_;
-    free_head_ = slots_[index].next_free;
-    return index;
-  }
-  ensure(slots_.size() < kNoSlot, "Simulation: event slot pool exhausted");
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
-}
 
 inline void Simulation::sift_up(std::size_t i) {
   const HeapEntry entry = heap_[i];
@@ -506,80 +574,76 @@ inline void Simulation::heap_push(const HeapEntry& entry) {
   sift_up(heap_.size() - 1);
 }
 
-inline std::uint32_t Simulation::wheel_new_node(unsigned __int128 key,
-                                                std::uint32_t slot,
-                                                std::uint32_t gen,
-                                                std::uint32_t next) {
-  std::uint32_t node = wheel_free_;
-  if (node != kNoSlot) {
-    wheel_free_ = wheel_nodes_[node].next;
-    wheel_nodes_[node] = WheelNode{key, slot, gen, next};
-  } else {
-    ensure(wheel_nodes_.size() < kNoSlot, "Simulation: wheel pool exhausted");
-    node = static_cast<std::uint32_t>(wheel_nodes_.size());
-    wheel_nodes_.push_back(WheelNode{key, slot, gen, next});
-  }
-  return node;
+inline void Simulation::lane_push(CalendarNode& node) {
+  node.next = nullptr;
+  (lane_tail_ != nullptr ? lane_tail_->next : lane_head_) = &node;
+  lane_tail_ = &node;
+  ++lane_size_;
 }
 
-inline void Simulation::wheel_push(SimTime at, std::uint64_t seq,
-                                    std::uint32_t slot, std::uint32_t gen) {
+inline void Simulation::wheel_push(SimTime at, CalendarNode& node) {
   if (!wheel_buckets_) {
     wheel_buckets_ = std::make_unique_for_overwrite<WheelBucket[]>(kWheelBuckets);
-    wheel_nodes_.reserve(kInitialCapacity);
   }
-  const unsigned __int128 key = heap_key(at, seq);
   const auto b = static_cast<std::size_t>(wheel_tick(at)) & kWheelMask;
   WheelBucket& bucket = wheel_buckets_[b];
   std::uint64_t& word = wheel_bits_[b / 64];
   const std::uint64_t bit = std::uint64_t{1} << (b % 64);
   if ((word & bit) == 0) {
-    const std::uint32_t node = wheel_new_node(key, slot, gen, kNoSlot);
-    bucket.head = node;
-    bucket.tail = node;
+    node.next = nullptr;
+    bucket.head = &node;
+    bucket.tail = &node;
     word |= bit;
     wheel_summary_ |= std::uint64_t{1} << (b / 64);
-  } else if (!(key < wheel_nodes_[bucket.tail].key)) {
+  } else if (!(node.key < bucket.tail->key)) {
     // The common case: a key after everything in the bucket (non-keyed
     // seqs are handed out in push order).
-    const std::uint32_t node = wheel_new_node(key, slot, gen, kNoSlot);
-    wheel_nodes_[bucket.tail].next = node;
-    bucket.tail = node;
+    node.next = nullptr;
+    bucket.tail->next = &node;
+    bucket.tail = &node;
   } else {
-    wheel_insert(b, key, slot, gen);
+    wheel_insert(b, node);
     return;
   }
   ++wheel_size_;
 }
 
-inline void Simulation::calendar_push(SimTime at, std::uint64_t seq,
-                                       std::uint32_t slot, std::uint32_t gen) {
-  // Near (now_ < at < wheel_limit_ <= 2^50 + kWheelSpan, so wheel_tick is
-  // exact): the wheel's key-ordered bucket, no sift.  Far: the heap.
-  if (at < wheel_limit_) {
-    wheel_push(at, seq, slot, gen);
+inline void Simulation::calendar_push(SimTime at, CalendarNode& node) {
+  // Same time: the lane, whose FIFO order is seq order.  Near (now_ < at
+  // < wheel_limit_ <= 2^50 + kWheelSpan, so wheel_tick is exact): the
+  // wheel's key-ordered bucket, no sift.  Far: the heap.
+  if (at == now_) {
+    lane_push(node);
+  } else if (at < wheel_limit_) {
+    wheel_push(at, node);
   } else {
-    heap_push(HeapEntry{heap_key(at, seq), slot, gen});
+    heap_push(HeapEntry{node.key, &node});
   }
+}
+
+inline void Simulation::link_wake(SimTime at, CalendarNode& node) {
+  ensure(node.state == State::kIdle,
+         "Simulation: process already has a pending wake (one wake per "
+         "suspended process)");
+  const std::uint64_t seq = next_seq_++;
+  node.key = heap_key(at, seq);
+  node.state = State::kLinked;
+  calendar_push(at, node);
+  ++live_wakes_;
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, kInvalidEvent, seq);
 }
 
 inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
   ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
-  const std::uint32_t index = acquire_slot();
-  Slot& slot = slots_[index];
-  slot.action = std::move(action);
+  EventRecord& record = pool_.acquire();
+  record.action = std::move(action);
   const std::uint64_t seq = next_seq_++;
-  if (at == now_) {
-    // Immediate lane: same-time events (resume_soon, mailbox wake-ups,
-    // spawns) skip the heap entirely; FIFO order == seq order.
-    now_queue_.push_back(NowEntry{seq, index, slot.generation});
-  } else {
-    calendar_push(at, seq, index, slot.generation);
-  }
-  ++live_events_;
-  const EventId id = (static_cast<EventId>(slot.generation) << 32) |
-                     static_cast<EventId>(index);
-  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id);
+  record.node.key = heap_key(at, seq);
+  record.node.state = State::kLinked;
+  calendar_push(at, record.node);
+  ++live_records_;
+  const EventId id = record.id();
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id, seq);
   return id;
 }
 
@@ -589,14 +653,14 @@ inline des::EventId Simulation::schedule_action_seq(SimTime at,
   // A keyed event is always strictly in the future (callers ensure it),
   // so it never joins the lane, whose FIFO assumes push order == seq
   // order.  The wheel's buckets are key-ordered, so it may go there.
-  const std::uint32_t index = acquire_slot();
-  Slot& slot = slots_[index];
-  slot.action = std::move(action);
-  calendar_push(at, seq, index, slot.generation);
-  ++live_events_;
-  const EventId id = (static_cast<EventId>(slot.generation) << 32) |
-                     static_cast<EventId>(index);
-  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id);
+  EventRecord& record = pool_.acquire();
+  record.action = std::move(action);
+  record.node.key = heap_key(at, seq);
+  record.node.state = State::kLinked;
+  calendar_push(at, record.node);
+  ++live_records_;
+  const EventId id = record.id();
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id, seq);
   return id;
 }
 

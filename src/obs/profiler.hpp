@@ -1,6 +1,7 @@
 // Kernel self-profiler: attributes dispatch counts and wall time to each
-// EventAction kind (empty/resume/small/boxed/static), answering "why is
-// this sweep slow" from a table instead of perf.
+// dispatch kind (resume = a process wake; empty/small/boxed/static = the
+// EventAction kinds of pooled events), answering "why is this sweep slow"
+// from a table instead of perf.
 //
 // Dispatch counts are exact and deterministic.  Wall time is sampled — one
 // steady_clock pair every kSampleEvery dispatches, attributed to that
@@ -23,7 +24,8 @@ namespace pimsim::obs {
 /// Per-simulation profile accumulator, driven by Simulation::dispatch.
 class KernelProfiler {
  public:
-  /// EventAction kind ids 0..4 (kEmpty, kResume, kSmall, kBoxed, kStatic).
+  /// Kind ids 0..4: EventAction's kEmpty, kSmall (2), kBoxed (3) and
+  /// kStatic (4), plus process wakes (1, EventAction::kWakeKindId).
   static constexpr std::size_t kKinds = 5;
 
   /// Every kSampleEvery-th dispatch is wall-timed (power of two).

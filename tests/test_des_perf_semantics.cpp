@@ -198,8 +198,8 @@ TEST(SimulationSemantics, CancelledFarFutureEventsDoNotAccumulate) {
   des::Simulation sim;
   // Pre-rewrite, each cancelled far-future timeout left a calendar entry
   // alive until its (never-reached) timestamp: a million cancelled
-  // timeouts meant a million dead heap nodes.  The slot-pool kernel
-  // bounds the calendar to O(live events).
+  // timeouts meant a million dead heap nodes.  Lazy deletion with
+  // compaction bounds the calendar to O(live events).
   constexpr int kTimeouts = 1'000'000;
   std::size_t max_entries = 0;
   for (int i = 0; i < kTimeouts; ++i) {

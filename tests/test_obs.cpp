@@ -456,7 +456,7 @@ TEST(Profiler, KindCountsAreExact) {
   EXPECT_EQ(stats[2].dispatches, 10u);  // kSmall
   EXPECT_EQ(stats[3].dispatches, 1u);   // kBoxed
   EXPECT_EQ(stats[4].dispatches, 1u);   // kStatic
-  EXPECT_GE(stats[1].dispatches, 2u);   // kResume: two delays at least
+  EXPECT_GE(stats[1].dispatches, 2u);   // process wakes: two delays at least
   EXPECT_EQ(prof->total_dispatches(), sim.events_dispatched());
 }
 

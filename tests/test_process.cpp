@@ -1,6 +1,7 @@
 // Tests for the coroutine process layer.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -421,6 +422,88 @@ TEST(Process, TeardownWithWaitersLinkedInEveryQueue) {
     sim.run_until(10.0);
     EXPECT_EQ(sim.live_processes(), 7u);
   }
+}
+
+/// Suspends without scheduling anything and hands the test the
+/// process's hook, so the test can drive the kernel's wake calls.
+struct ExposeHook {
+  ProcessHook** out;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(Process::handle_type h) noexcept { *out = &h.promise().hook; }
+  void await_resume() const noexcept {}
+};
+
+Process exposed(Simulation& sim, ProcessHook** hook, std::vector<double>* woke) {
+  co_await ExposeHook{hook};
+  woke->push_back(sim.now());
+  co_await ExposeHook{hook};
+  woke->push_back(sim.now());
+}
+
+TEST(Process, ASuspendedProcessHasAtMostOneWake) {
+  // The wake node lives in the process, so a second wake while one is
+  // pending -- whichever structure either would take -- is a LogicError,
+  // and the pending one is left intact.
+  Simulation sim;
+  sim.set_audit(true);
+  ProcessHook* hook = nullptr;
+  std::vector<double> woke;
+  sim.spawn(exposed(sim, &hook, &woke));
+  sim.run();
+  ASSERT_NE(hook, nullptr);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  sim.resume_in(5.0, *hook);
+  EXPECT_THROW(sim.resume_soon(*hook), LogicError);        // lane
+  EXPECT_THROW(sim.resume_at(6.0, *hook), LogicError);     // wheel
+  EXPECT_THROW(sim.resume_in(5000.0, *hook), LogicError);  // heap
+  EXPECT_EQ(sim.events_pending(), 1u);
+  EXPECT_EQ(sim.calendar_entries(), 1u);
+  sim.audit_check_now();
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<double>{5.0}));
+  // Dispatch unlinked the node: the next suspension may be woken again.
+  sim.resume_soon(*hook);
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<double>{5.0, 5.0}));
+  EXPECT_EQ(sim.live_processes(), 0u);
+}
+
+Process parked_on(Trigger& trigger, std::vector<int>* log, int id) {
+  const LogOnDestroy guard{log, id};
+  co_await trigger.wait();
+}
+
+TEST(Process, TeardownWithWakesPendingInEveryCalendarStructure) {
+  // After run_until, wakes stay linked in the heap (far delays) and the
+  // wheel (near ones); a Trigger fired and a process spawned from outside
+  // the calendar add lane wakes; pooled events sit beside them in all
+  // three.  Destroying the Simulation frees frames whose wake nodes are
+  // still linked: nothing may touch them afterwards (the sanitizer jobs
+  // check), and every frame and pending callable is destroyed.
+  std::vector<int> log;
+  const auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    Trigger trigger(sim);
+    for (int id = 0; id < 3; ++id) sim.spawn(parked(sim, 5000.0, &log, id));
+    for (int id = 3; id < 6; ++id) sim.spawn(parked(sim, 20.0, &log, id));
+    for (int id = 6; id < 8; ++id) sim.spawn(parked_on(trigger, &log, id));
+    sim.schedule_at(15.0, [token] {});
+    sim.schedule_at(4000.0, [token] {});
+    sim.run_until(10.0);
+    trigger.fire();
+    sim.spawn(parked(sim, 1.0, &log, 8));
+    sim.schedule_now([token] {});
+    EXPECT_EQ(sim.live_processes(), 9u);
+    EXPECT_EQ(sim.events_pending(), 12u);
+    EXPECT_EQ(sim.calendar_entries(), 12u);
+    sim.set_audit(true);
+    sim.audit_check_now();
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  // Process 8's body never started, so it had no guard to log.
+  EXPECT_EQ(log.size(), 8u);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

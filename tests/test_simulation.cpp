@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -15,6 +18,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "des/mailbox.hpp"
+#include "des/process.hpp"
 #include "des/simulation.hpp"
 
 namespace pimsim::des {
@@ -77,6 +82,46 @@ TEST(Simulation, CancelPreventsDispatch) {
   EXPECT_FALSE(sim.cancel(id));  // second cancel is a no-op
   sim.run();
   EXPECT_FALSE(fired);
+}
+
+TEST(Simulation, CancelReachesRecordsInEveryPoolChunk) {
+  // 500 pending events span the pool's first four chunks (64, 128, 256,
+  // 512 records).  Cancelling every other one must find each record by
+  // its id; stale and forged ids must not match.
+  Simulation sim;
+  sim.set_audit(true);
+  std::vector<EventId> ids;
+  int fired = 0;
+  for (int i = 0; i < 500; ++i) {
+    ids.push_back(sim.schedule_at(1.0 + i % 7, [&fired] { ++fired; }));
+  }
+  for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_TRUE(sim.cancel(ids[i]));
+  for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_FALSE(sim.cancel(ids[i]));
+  EXPECT_EQ(sim.events_pending(), 250u);
+  sim.audit_check_now();
+  sim.run();
+  EXPECT_EQ(fired, 250);
+  for (const EventId id : ids) EXPECT_FALSE(sim.cancel(id));
+  EXPECT_FALSE(sim.cancel((EventId{1} << 32) | 10'000));  // past the pool
+  EXPECT_FALSE(sim.cancel(ids[1] & 0xffffffffu));          // generation 0
+  sim.audit_check_now();
+}
+
+TEST(Simulation, PendingCallablesDieWithTheSimulation) {
+  // Pending, cancelled and dispatched callables are each destroyed once,
+  // across several pool chunks.
+  const auto token = std::make_shared<int>(0);
+  {
+    Simulation sim;
+    std::vector<EventId> ids;
+    for (int i = 0; i < 300; ++i) {
+      ids.push_back(sim.schedule_at(static_cast<double>(i), [token] {}));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) sim.cancel(ids[i]);
+    sim.run_until(150.0);
+    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(sim.events_pending()));
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(Simulation, RunUntilStopsAtHorizonAndAdvancesClock) {
@@ -177,11 +222,19 @@ TEST(Simulation, TracerCallbackMode) {
 // reserved seqs (near ones landing at the head or in the middle of a
 // bucket that already holds newer entries), cancels and self-cancels --
 // and checks every dispatch (time, seq and identity) against such a set.
+// Beside the pooled events, sleeper processes put their own wake nodes
+// into the same mix: spawns, delay() (zero, near and far), wait_until(),
+// and resume_soon wakes from a Trigger fire or a Mailbox send, sharing
+// times with pooled events in all three structures.  Audit mode is on
+// and the invariant sweep also runs from inside callbacks, so the exact
+// node and record-pool accounting is checked throughout.
 
 class CalendarOracle {
  public:
   CalendarOracle(std::uint64_t seed, std::size_t budget)
-      : rng_(seed, 0xca1e), budget_(budget) {}
+      : rng_(seed, 0xca1e), budget_(budget) {
+    sim_.set_audit(true);
+  }
 
   Simulation& sim() { return sim_; }
   /// True once the budget is spent and every event has dispatched.
@@ -193,6 +246,11 @@ class CalendarOracle {
   }
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
   [[nodiscard]] std::uint64_t cancelled() const { return cancelled_; }
+  /// Dispatched process wakes, by how they were scheduled.
+  enum WakeKind { kSpawn, kDelay, kWaitUntil, kTrigger, kMailbox, kWakeKinds };
+  [[nodiscard]] const std::array<std::uint64_t, kWakeKinds>& wakes() const {
+    return wakes_;
+  }
 
   /// Random actions a caller (or a dispatching event) performs: schedule
   /// up to `max_new` events, maybe reserve a seq, maybe cancel one.
@@ -201,6 +259,8 @@ class CalendarOracle {
     const auto n = static_cast<int>(rng_.uniform_int(0, max_new));
     for (int i = 0; i < n && scheduled_ < budget_; ++i) schedule_random();
     if (rng_.bernoulli(0.15)) cancel_random();
+    if (rng_.bernoulli(0.1)) spawn_sleeper();
+    if (rng_.bernoulli(0.25)) wake_waiters();
   }
 
   /// Takes one random step from outside the kernel: a run_until slice (horizon integral,
@@ -237,6 +297,7 @@ class CalendarOracle {
         break;
     }
     check_bounds();
+    sim_.audit_check_now();
   }
 
   void check_bounds() {
@@ -327,6 +388,81 @@ class CalendarOracle {
     }
   }
 
+  /// A process wake the kernel will dispatch at (at, seq).
+  void expect(SimTime at, std::uint64_t seq, std::uint64_t tag, WakeKind kind) {
+    pending_.emplace(at, seq, tag);
+    wake_kind_.emplace(tag, kind);
+  }
+
+  void spawn_sleeper() {
+    if (sleepers_ >= kMaxSleepers || scheduled_ >= budget_) return;
+    const std::uint64_t tag = next_tag_++;
+    ++scheduled_;
+    ++sleepers_;
+    expect(sim_.now(), next_seq_++, tag, kSpawn);
+    sim_.spawn(sleeper(this, tag));
+  }
+
+  /// Fires the trigger (every waiter, in suspension order) and/or hands
+  /// one message to the oldest mailbox receiver: resume_soon wakes in the
+  /// lane, at the seqs handed out here.
+  void wake_waiters() {
+    check(trigger_.waiting() == trigger_waiters_.size() &&
+              box_.waiting_receivers() == box_waiters_.size(),
+          "wait queues disagree with the reference");
+    if (!trigger_waiters_.empty() && rng_.bernoulli(0.5)) {
+      for (const std::uint64_t tag : trigger_waiters_) {
+        expect(sim_.now(), next_seq_++, tag, kTrigger);
+      }
+      trigger_waiters_.clear();
+      trigger_.fire(/*latch=*/false);
+    }
+    if (!box_waiters_.empty()) {
+      const std::uint64_t tag = box_waiters_.front();
+      box_waiters_.pop_front();
+      expect(sim_.now(), next_seq_++, tag, kMailbox);
+      box_.send(tag);
+    }
+  }
+
+  /// A process that checks each of its wakes against the reference and
+  /// then suspends again in a random way, until the budget is spent.
+  static Process sleeper(CalendarOracle* o, std::uint64_t tag) {
+    for (;;) {
+      o->fire(tag);  // the first dispatch is the spawn's
+      if (o->scheduled_ >= o->budget_) break;
+      tag = o->next_tag_++;
+      ++o->scheduled_;
+      Simulation& sim = o->sim_;
+      switch (o->rng_.uniform_int(0, 3)) {
+        case 0: {  // zero (lane), near (wheel) or far (heap)
+          const SimTime now = sim.now();
+          const Cycles d = o->rng_.bernoulli(0.2) ? 0.0 : o->future_time() - now;
+          o->expect(now + d, o->next_seq_++, tag, kDelay);
+          co_await delay(sim, d);
+          break;
+        }
+        case 1: {
+          const SimTime at = o->future_time();
+          o->expect(at, o->next_seq_++, tag, kWaitUntil);
+          co_await wait_until(sim, at);
+          break;
+        }
+        case 2:
+          o->trigger_waiters_.push_back(tag);
+          co_await o->trigger_.wait();
+          break;
+        default: {
+          o->box_waiters_.push_back(tag);
+          const std::uint64_t got = co_await o->box_.receive();
+          o->check(got == tag, "mailbox woke a receiver with another's message");
+          break;
+        }
+      }
+    }
+    --o->sleepers_;
+  }
+
   void schedule_random() {
     if (!reserved_.empty() && rng_.bernoulli(0.25)) {
       schedule_keyed(future_time());
@@ -399,13 +535,28 @@ class CalendarOracle {
       live_.erase(self);
       if (rng_.bernoulli(0.1)) check(!sim_.cancel(id), "self-cancel succeeded");
     }
+    if (const auto wake = wake_kind_.find(tag); wake != wake_kind_.end()) {
+      ++wakes_[wake->second];
+      wake_kind_.erase(wake);
+    }
     act(3);
     check_bounds();
+    // Mid-dispatch: a pooled event's record is running, a wake's node is
+    // unlinked; the sweep's accounting must hold either way.
+    if (rng_.bernoulli(0.05)) sim_.audit_check_now();
   }
 
   static constexpr SimTime kNoHorizon = 1e300;
+  static constexpr std::size_t kMaxSleepers = 64;
 
   Simulation sim_;
+  Trigger trigger_{sim_};
+  Mailbox<std::uint64_t> box_{sim_, "oracle"};
+  std::deque<std::uint64_t> trigger_waiters_;  // tags, in suspension order
+  std::deque<std::uint64_t> box_waiters_;
+  std::size_t sleepers_ = 0;
+  std::map<std::uint64_t, WakeKind> wake_kind_;  // pending wakes by tag
+  std::array<std::uint64_t, kWakeKinds> wakes_{};
   Rng rng_;
   SimTime horizon_ = kNoHorizon;
   std::size_t budget_;
@@ -491,6 +642,7 @@ TEST(CalendarDifferential, DispatchOrderMatchesOrderedSetReference) {
     EXPECT_EQ(oracle.sim().events_dispatched(), oracle.dispatched()) << seed;
     EXPECT_GT(oracle.dispatched(), 1000u) << seed;
     EXPECT_GT(oracle.cancelled(), 0u) << seed;
+    for (const std::uint64_t n : oracle.wakes()) EXPECT_GT(n, 0u) << seed;
     EXPECT_EQ(oracle.sim().calendar_entries(), 0u) << seed;
     // Far events push the clock many wheel spans out: buckets wrapped.
     EXPECT_GT(oracle.sim().now(), 4 * 1024.0) << seed;
