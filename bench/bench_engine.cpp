@@ -4,7 +4,7 @@
 // always build it.  Nine workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
-//   dispatch    N one-shot callbacks pre-loaded into the calendar
+//   dispatch    N one-shot static calls pre-loaded into the calendar
 //   delayloop   a coroutine hopping through co_await delay(1.0)
 //   fracdelay   64 coroutines hopping through non-integral delays: every
 //               wake-up lands mid-cycle in the wheel's quarter-cycle
@@ -14,7 +14,8 @@
 //               reservation with schedule_static_at_seq at a fractional
 //               time, so wheel inserts land at a bucket's head or middle
 //   pingpong    two coroutines volleying through a pair of mailboxes
-//   timerwheel  W self-rescheduling timers with staggered periods
+//   timerwheel  W self-rescheduling timers with staggered periods, their
+//               state in a vector indexed by each event's `a` word
 //   cancelheavy timeout pattern: every op arms a far-future timeout and
 //               cancels it, exercising O(1) cancel + lazy compaction
 //   spawnchurn  short-lived processes, spawned and joined in batches,
@@ -93,11 +94,15 @@ Sample time_run(Setup&& setup) {
 
 // --- dispatch: pre-loaded one-shot callbacks ----------------------------
 
+void count_fire(void* fired, std::uint64_t, std::uint64_t) {
+  ++*static_cast<std::uint64_t*>(fired);
+}
+
 Sample run_dispatch(std::uint64_t events) {
   std::uint64_t fired = 0;
   const Sample s = time_run([&](des::Simulation& sim) {
     for (std::uint64_t i = 0; i < events; ++i) {
-      sim.schedule_at(static_cast<double>(i), [&fired] { ++fired; });
+      (void)sim.schedule_static_at(static_cast<double>(i), &count_fire, &fired, 0, 0);
     }
   });
   ensure(fired == events, "bench_engine: dispatch lost events");
@@ -214,53 +219,74 @@ Sample run_pingpong(std::uint64_t events) {
 
 // --- timerwheel: staggered self-rescheduling timers ---------------------
 
+/// The timers' state, indexed by each tick event's `a` word.
+struct TimerWheel {
+  struct Timer {
+    double period;
+    std::uint64_t remaining;
+  };
+  des::Simulation* sim = nullptr;
+  std::vector<Timer> timers;
+  std::uint64_t fired = 0;
+
+  static void tick(void* ctx, std::uint64_t t, std::uint64_t) {
+    auto& wheel = *static_cast<TimerWheel*>(ctx);
+    Timer& timer = wheel.timers[t];
+    ++wheel.fired;
+    if (--timer.remaining > 0) {
+      (void)wheel.sim->schedule_static_at(wheel.sim->now() + timer.period,
+                                          &TimerWheel::tick, &wheel, t, 0);
+    }
+  }
+};
+
 Sample run_timerwheel(std::uint64_t events) {
   constexpr std::uint64_t kTimers = 256;
   const std::uint64_t per_timer = events / kTimers;
-  std::uint64_t fired = 0;
-  const Sample s = time_run([&](des::Simulation& sim) {
-    for (std::uint64_t t = 0; t < kTimers; ++t) {
-      // Periods 1..16 cycles, staggered so the heap stays busy.
-      const double period = static_cast<double>(1 + t % 16);
-      struct Timer {
-        des::Simulation& sim;
-        double period;
-        std::uint64_t remaining;
-        std::uint64_t* fired;
-        void operator()() {
-          ++*fired;
-          if (--remaining > 0) sim.schedule_in(period, *this);
-        }
-      };
-      sim.schedule_in(period, Timer{sim, period, per_timer, &fired});
-    }
-  });
-  ensure(fired == kTimers * per_timer, "bench_engine: timer wheel lost ticks");
+  des::Simulation sim;
+  TimerWheel wheel{&sim, {}, 0};
+  for (std::uint64_t t = 0; t < kTimers; ++t) {
+    // Periods 1..16 cycles, staggered so the heap stays busy.
+    const double period = static_cast<double>(1 + t % 16);
+    wheel.timers.push_back({period, per_timer});
+    (void)sim.schedule_static_at(period, &TimerWheel::tick, &wheel, t, 0);
+  }
+  const Sample s = timed_run(sim);
+  ensure(wheel.fired == kTimers * per_timer, "bench_engine: timer wheel lost ticks");
   return s;
 }
 
 // --- cancelheavy: arm-and-cancel timeout pattern ------------------------
 
+/// The ops' remaining counts, indexed by each step event's `a` word.
+struct CancelHeavy {
+  des::Simulation* sim = nullptr;
+  std::vector<std::uint64_t> remaining;
+  std::uint64_t timeouts_fired = 0;
+
+  static void timeout(void* ctx, std::uint64_t, std::uint64_t) {
+    ++static_cast<CancelHeavy*>(ctx)->timeouts_fired;
+  }
+  static void step(void* ctx, std::uint64_t op, std::uint64_t) {
+    auto& c = *static_cast<CancelHeavy*>(ctx);
+    // Arm a far-future timeout, do one unit of work, cancel it — the
+    // calendar must not accumulate the dead entries.
+    const des::EventId timeout =
+        c.sim->schedule_static_at(c.sim->now() + 1e12, &CancelHeavy::timeout, &c, op, 0);
+    ensure(c.sim->cancel(timeout), "bench_engine: cancel failed");
+    if (--c.remaining[op] > 0) {
+      (void)c.sim->schedule_static_at(c.sim->now() + 1.0, &CancelHeavy::step, &c, op, 0);
+    }
+  }
+};
+
 Sample run_cancelheavy(std::uint64_t events) {
   const std::uint64_t ops = events / 2;  // one fired event + one cancel per op
-  std::uint64_t timeouts_fired = 0;
-  const Sample s = time_run([&](des::Simulation& sim) {
-    struct Op {
-      des::Simulation& sim;
-      std::uint64_t remaining;
-      std::uint64_t* timeouts_fired;
-      void operator()() {
-        // Arm a far-future timeout, do one unit of work, cancel it —
-        // the calendar must not accumulate the dead entries.
-        const des::EventId timeout = sim.schedule_in(
-            1e12, [counter = timeouts_fired] { ++*counter; });
-        ensure(sim.cancel(timeout), "bench_engine: cancel failed");
-        if (--remaining > 0) sim.schedule_in(1.0, *this);
-      }
-    };
-    sim.schedule_in(1.0, Op{sim, ops, &timeouts_fired});
-  });
-  ensure(timeouts_fired == 0, "bench_engine: cancelled timeout fired");
+  des::Simulation sim;
+  CancelHeavy heavy{&sim, {ops}, 0};
+  (void)sim.schedule_static_at(1.0, &CancelHeavy::step, &heavy, 0, 0);
+  const Sample s = timed_run(sim);
+  ensure(heavy.timeouts_fired == 0, "bench_engine: cancelled timeout fired");
   return s;
 }
 

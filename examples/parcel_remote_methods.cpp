@@ -10,8 +10,10 @@
 //    returned partial sums are folded into the final answer.
 //
 // Build & run:  ./examples/parcel_remote_methods
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -59,21 +61,40 @@ struct Machine {
         });
   }
 
-  /// Serializes and ships a parcel; it arrives after the network latency.
+  /// Serializes and ships a parcel: the interconnect delivers it after
+  /// the network latency, its wire bytes parked in an in-flight slot
+  /// until then.
   void send(const parcel::Parcel& p) {
-    auto bytes = parcel::serialize(p);
-    auto* inbox = nodes[p.dst].inbox.get();
-    sim.schedule_in(net.one_way_latency(p.src, p.dst),
-                    [inbox, bytes = std::move(bytes)] { inbox->send(bytes); });
+    std::uint64_t slot = in_flight.size();
+    if (free_slots.empty()) {
+      in_flight.emplace_back();
+    } else {
+      slot = free_slots.back();
+      free_slots.pop_back();
+    }
+    in_flight[slot] = parcel::serialize(p);
+    net.deliver(sim, p.src, p.dst, in_flight[slot].size(), &Machine::arrive,
+                this, slot, p.dst);
+  }
+
+  /// Arrival of the parcel in `slot` at node `dst`: hand its bytes to the
+  /// node's inbox and free the slot.
+  static void arrive(void* self, std::uint64_t slot, std::uint64_t dst) {
+    auto& m = *static_cast<Machine*>(self);
+    m.nodes[dst].inbox->send(std::move(m.in_flight[slot]));
+    m.free_slots.push_back(slot);
   }
 
   des::Simulation sim;
   parcel::FlatInterconnect net;
   parcel::ActionRegistry registry;
   std::vector<Node> nodes;
+  std::vector<std::vector<std::uint8_t>> in_flight;  // wire bytes by slot
+  std::vector<std::uint64_t> free_slots;
   // Replies delivered back to the driver, keyed by continuation context.
   std::uint64_t replies = 0;
   std::uint64_t reply_sum = 0;
+  bool verified = false;  // the final histogram check passed
 };
 
 /// Each node's parcel engine: receive, deserialize, execute the action
@@ -134,8 +155,8 @@ des::Process driver(Machine& m, std::uint64_t increments) {
               "(expected %llu) at t=%.0f cycles\n",
               m.nodes.size(), static_cast<unsigned long long>(m.reply_sum),
               static_cast<unsigned long long>(increments), m.sim.now());
-  std::printf("result: %s\n",
-              m.reply_sum == increments ? "histogram verified" : "MISMATCH");
+  m.verified = m.reply_sum == increments;
+  std::printf("result: %s\n", m.verified ? "histogram verified" : "MISMATCH");
 }
 
 }  // namespace
@@ -154,5 +175,6 @@ int main() {
                 static_cast<unsigned long long>(node.parcels_executed));
   }
   std::printf("\n");
-  return 0;
+  // Exits non-zero on a mismatch, or when the run never reached the check.
+  return machine.verified ? 0 : 1;
 }

@@ -49,8 +49,8 @@ usage:
       PIMSIM_TRACE=full in the environment widens the kind mask to the
       per-event kernel records).  metrics=PATH dumps the metrics
       registry (.csv extension selects CSV, anything else JSON).
-      profile=1 prints the per-EventAction-kind dispatch profile on
-      stderr.
+      profile=1 prints the dispatch profile per kind (resume = process
+      wake, static = static call; the only two kinds) on stderr.
 
   pimsim sweep <scenario> config=FILE [key=value ...] [jobs=N]
                 [format=text|csv|json] [out=PATH] [metrics=PATH]

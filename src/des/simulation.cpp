@@ -58,7 +58,6 @@ Simulation::~Simulation() {
   for (const ProcessHook* hook : frames) {
     std::coroutine_handle<>::from_address(hook->frame).destroy();
   }
-  // Pending EventActions (and anything they own) die with pool_.
   if (audit_) AuditRegistry::global().absorb(*audit_);
   // Publish enabled observability layers to their process-wide hubs.
   if (metrics_) {
@@ -108,14 +107,9 @@ void Simulation::set_profile(bool enabled) {
 // --- record pool ---------------------------------------------------------
 
 Simulation::RecordPool::~RecordPool() {
-  // Destroys every constructed record (a pending action's callable with
-  // it), then frees the chunks.
+  // Records are trivially destructible: freeing the chunks is enough.
   std::allocator<EventRecord> alloc;
-  std::uint32_t left = size_;
   for (std::size_t k = 0; k < chunks_.size(); ++k) {
-    const std::uint32_t n = std::min(left, chunk_size(k));
-    std::destroy_n(chunks_[k], n);
-    left -= n;
     alloc.deallocate(chunks_[k], chunk_size(k));
   }
 }
@@ -151,7 +145,6 @@ bool Simulation::cancel(EventId id) {
       record->node.state != State::kLinked) {
     return false;
   }
-  record->action.reset();
   record->invalidate_ids();
   record->node.state = State::kCancelled;
   --live_records_;
@@ -438,7 +431,7 @@ void Simulation::dispatch(CalendarNode& node) {
         sim.pool_.release(record);
       }
     } release{*this, record};
-    run_observed(record.action.kind_id(), id, [&record] { record.action.invoke(); });
+    run_observed(EventAction::kCallKindId, id, [&record] { record.action.invoke(); });
   }
   current_seq_ = 0;  // outside dispatch the documented value is 0
 }
@@ -571,15 +564,15 @@ void Simulation::audit_check_now() const {
   ensure(tally.records == live_records_ && tally.wakes == live_wakes_ &&
              tally.cancelled == stale_,
          "Simulation audit: calendar nodes disagree with the live/stale counts");
-  // Record pool: the free list must be acyclic, hold only idle empty
-  // records, and account for exactly the records neither live, stale nor
-  // running their callback.
+  // Record pool: the free list must be acyclic, hold only idle records,
+  // and account for exactly the records neither live, stale nor running
+  // their callback.
   std::size_t free_count = 0;
   for (const EventRecord* r = pool_.free_head(); r != nullptr;
        r = record_of(r->node.next)) {
     ensure(++free_count <= pool_.size(), "Simulation audit: free-list cycle");
-    ensure(r->node.state == State::kIdle && !r->action,
-           "Simulation audit: a free record is linked or holds an action");
+    ensure(r->node.state == State::kIdle,
+           "Simulation audit: a free record is linked");
   }
   ensure(free_count + live_records_ + stale_ + running_records_ == pool_.size(),
          "Simulation audit: record accounting mismatch (free + live + stale "

@@ -44,7 +44,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <type_traits>
@@ -120,26 +119,6 @@ class Simulation {
 
   /// Current simulation time in HWP cycles.
   [[nodiscard]] SimTime now() const { return now_; }
-
-  /// Schedules `fn` to run at absolute time `at` (>= now).
-  template <typename F>
-  EventId schedule_at(SimTime at, F&& fn) {
-    if constexpr (requires { static_cast<bool>(fn); }) {
-      ensure(static_cast<bool>(fn), "Simulation::schedule_at: empty callback");
-    }
-    return schedule_action(at, EventAction::wrap(std::forward<F>(fn)));
-  }
-  /// Schedules `fn` to run after `delay` cycles.
-  template <typename F>
-  EventId schedule_in(Cycles delay, F&& fn) {
-    ensure(delay >= 0.0, "Simulation::schedule_in: negative delay");
-    return schedule_at(now_ + delay, std::forward<F>(fn));
-  }
-  /// Schedules `fn` to run at the current time, after pending same-time events.
-  template <typename F>
-  EventId schedule_now(F&& fn) {
-    return schedule_at(now_, std::forward<F>(fn));
-  }
 
   /// Cancels a pending event; returns false if already dispatched/unknown.
   /// O(1): the record's node stays linked as a stale entry and is
@@ -248,13 +227,14 @@ class Simulation {
   // off): a simulation-owned Tracer feeding the Chrome-trace exporter
   // (`trace=out.json`), a metrics registry components bind typed handles
   // into (`metrics=out.json`), and a kernel self-profiler attributing
-  // dispatches to EventAction kinds (`profile=1`).  The constructor
-  // applies obs::current_run_options() — the active obs::Session's, else
-  // PIMSIM_TRACE / PIMSIM_METRICS / PIMSIM_PROFILE (obs/session.hpp).  At
-  // destruction each enabled layer is absorbed into its process-wide hub
-  // (obs::TraceHub, obs::MetricsHub, obs::ProfileHub), which the session
-  // reports — how the CLI reaches simulations buried inside figure
-  // generators, exactly like the audit layer above.
+  // dispatches to their kind, process wake or static call (`profile=1`).
+  // The constructor applies obs::current_run_options() — the active
+  // obs::Session's, else PIMSIM_TRACE / PIMSIM_METRICS / PIMSIM_PROFILE
+  // (obs/session.hpp).  At destruction each enabled layer is absorbed
+  // into its process-wide hub (obs::TraceHub, obs::MetricsHub,
+  // obs::ProfileHub), which the session reports — how the CLI reaches
+  // simulations buried inside figure generators, exactly like the audit
+  // layer above.
 
   /// Enables/disables the owned tracer (absorbed into obs::TraceHub at
   /// destruction, unlike an external set_tracer() sink).
@@ -296,21 +276,25 @@ class Simulation {
     return current_seq_;
   }
 
-  /// Schedules a static-call event under a key from allocate_seq().
-  /// `at` must be strictly in the future (a key older than already
-  /// dispatched same-time events cannot be honoured).
+  /// Schedules the static call `fn(ctx, a, b)` at absolute time `at`
+  /// (>= now).  Every pooled event takes this path: a component keeps
+  /// its per-event state itself and passes an index or pointer in
+  /// `a`/`b`.  Allocation-free once the record pool is warm.
+  EventId schedule_static_at(SimTime at, EventAction::StaticFn fn, void* ctx,
+                             std::uint64_t a, std::uint64_t b) {
+    ensure(fn != nullptr, "Simulation::schedule_static_at: null callback");
+    return schedule_action(at, EventAction{fn, ctx, a, b});
+  }
+
+  /// Schedules a static call under a key from allocate_seq().  `at` must
+  /// be strictly in the future (a key older than already dispatched
+  /// same-time events cannot be honoured).
   EventId schedule_static_at_seq(SimTime at, std::uint64_t seq,
                                  EventAction::StaticFn fn, void* ctx,
                                  std::uint64_t a, std::uint64_t b) {
+    ensure(fn != nullptr, "Simulation::schedule_static_at_seq: null callback");
     ensure(at > now_, "Simulation::schedule_static_at_seq: must be future");
-    return schedule_action_seq(at, seq, EventAction::call(fn, ctx, a, b));
-  }
-
-  /// Schedules a static-call event (the allocation-free fast path for
-  /// homogeneous high-volume events; see EventAction::call).
-  EventId schedule_static_at(SimTime at, EventAction::StaticFn fn, void* ctx,
-                             std::uint64_t a, std::uint64_t b) {
-    return schedule_action(at, EventAction::call(fn, ctx, a, b));
+    return schedule_action_seq(at, seq, EventAction{fn, ctx, a, b});
   }
 
   // --- internal hooks used by the process layer (see process.hpp) ---
@@ -347,14 +331,15 @@ class Simulation {
   /// Initial capacity of the heap and registry vectors.
   static constexpr std::size_t kInitialCapacity = 64;
 
-  /// A pooled (non-wake) event: its node, its callback, and the
+  /// A pooled (non-wake) event: its node, its static call, and the
   /// generation that validates EventIds.  Free records chain through
-  /// node.next.
+  /// node.next.  Trivially destructible: the pool frees chunks without
+  /// visiting records, and cancel leaves the stale call in place.
   struct EventRecord {
     explicit EventRecord(std::uint32_t at) : index(at) {}
 
     CalendarNode node;  // first: a node pointer is the record's address
-    EventAction action;
+    EventAction action{};
     std::uint32_t generation = 1;  // bumped on dispatch/cancel; never 0
     std::uint32_t index = 0;       // position in the pool, for EventIds
 
@@ -367,6 +352,7 @@ class Simulation {
     }
   };
   static_assert(std::is_standard_layout_v<EventRecord>, "record_of casts");
+  static_assert(std::is_trivially_destructible_v<EventRecord>);
 
   /// EventRecords at stable addresses: chunk k holds kFirstChunk << k
   /// records, constructed on first use (so a short run touches only the
@@ -442,11 +428,11 @@ class Simulation {
   }
 
   // The scheduling fast path is defined inline (below the class) so the
-  // resume_* hooks and template schedule_* compile down to a few stores
+  // resume_* hooks and schedule_static_* compile down to a few stores
   // and one list or bucket link at every call site.
-  EventId schedule_action(SimTime at, EventAction action);
+  EventId schedule_action(SimTime at, const EventAction& action);
   EventId schedule_action_seq(SimTime at, std::uint64_t seq,
-                              EventAction action);
+                              const EventAction& action);
   void link_wake(SimTime at, CalendarNode& node);
   void retire_stale(EventRecord& record);
   void advance_to(SimTime t);
@@ -633,10 +619,10 @@ inline void Simulation::link_wake(SimTime at, CalendarNode& node) {
   if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, kInvalidEvent, seq);
 }
 
-inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
-  ensure(at >= now_, "Simulation::schedule_at: cannot schedule in the past");
+inline EventId Simulation::schedule_action(SimTime at, const EventAction& action) {
+  ensure(at >= now_, "Simulation::schedule_static_at: cannot schedule in the past");
   EventRecord& record = pool_.acquire();
-  record.action = std::move(action);
+  record.action = action;
   const std::uint64_t seq = next_seq_++;
   record.node.key = heap_key(at, seq);
   record.node.state = State::kLinked;
@@ -649,12 +635,12 @@ inline EventId Simulation::schedule_action(SimTime at, EventAction action) {
 
 inline des::EventId Simulation::schedule_action_seq(SimTime at,
                                                     std::uint64_t seq,
-                                                    EventAction action) {
+                                                    const EventAction& action) {
   // A keyed event is always strictly in the future (callers ensure it),
   // so it never joins the lane, whose FIFO assumes push order == seq
   // order.  The wheel's buckets are key-ordered, so it may go there.
   EventRecord& record = pool_.acquire();
-  record.action = std::move(action);
+  record.action = action;
   record.node.key = heap_key(at, seq);
   record.node.state = State::kLinked;
   calendar_push(at, record.node);

@@ -157,8 +157,8 @@ void PacketNetwork::send(NodeId src, NodeId dst, std::size_t bytes,
   const std::uint32_t first = topo_.next_link(topo_.attach(src), dst);
   if (first == kNoLink) {
     // Local delivery (src == dst on a direct topology): no network
-    // traversal; complete behind pending same-time events, mirroring the
-    // analytic models' schedule_in(0) behaviour.
+    // traversal; complete behind pending same-time events, as the
+    // analytic models' deliver() does for a zero latency.
     schedule_ev(sim_.now(), Ev::kLocal, 0, handle);
     return;
   }

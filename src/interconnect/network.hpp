@@ -15,9 +15,9 @@
 //    segments holding index handles.  No shared_ptr, no per-message heap
 //    allocation once the pools are warm, and a NIC injection is one O(1)
 //    segment the serializer meters flits off as the wire drains.
-//  * Each link is a flat LinkState driven by direct calendar events (a
-//    dedicated EventAction static-call kind) instead of a coroutine
-//    parked on a mailbox and a resource.  In-flight arrivals are appended
+//  * Each link is a flat LinkState driven by direct calendar events
+//    (static calls, the kernel's one pooled event form) instead of a
+//    coroutine parked on a mailbox and a resource.  In-flight arrivals are appended
 //    to the downstream link's ring under a pre-allocated sequence key; a
 //    real arrival event is scheduled only when that serializer is parked,
 //    and then at exactly the calendar position the eager event would have
@@ -217,7 +217,7 @@ class PacketNetwork {
     TimeWeighted occupancy;  ///< downstream input-buffer occupancy
   };
 
-  // --- event plumbing (EventAction::call trampolines) -------------------
+  // --- event plumbing (static-call trampolines) --------------------------
   // "lane": scheduled at now(), the kernel's immediate lane; "timed": a
   // future time, the kernel's timing wheel (or its heap when far ahead).
   enum class Ev : std::uint64_t {

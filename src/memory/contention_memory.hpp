@@ -18,13 +18,14 @@
 //
 // Implementation is the PR 4 hot-path recipe: requests live in a slab
 // with an intrusive free list (steady state allocates nothing), every
-// event is a static-call EventAction, and each request pre-allocates its
-// calendar sequence number at issue time, so same-time completions
-// dispatch in arrival order and the whole structure is deterministic by
-// construction.  In audit mode (sim.audit_enabled()) every touched bank
-// is checked against a queue-occupancy conservation invariant — enqueued
-// == completed + queued + in-service — alongside the kernel's own sweeps,
-// the memory-side analogue of the packet network's credit-ledger check.
+// event is a static call (the kernel's one pooled event form), and each
+// request pre-allocates its calendar sequence number at issue time, so
+// same-time completions dispatch in arrival order and the whole
+// structure is deterministic by construction.  In audit mode
+// (sim.audit_enabled()) every touched bank is checked against a
+// queue-occupancy conservation invariant — enqueued == completed +
+// queued + in-service — alongside the kernel's own sweeps, the
+// memory-side analogue of the packet network's credit-ledger check.
 //
 // Exclusive banks: a node whose bank no other node reaches, with a port
 // for every bank in use, can never queue, so its accesses need no event.

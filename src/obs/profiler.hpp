@@ -1,7 +1,7 @@
 // Kernel self-profiler: attributes dispatch counts and wall time to each
-// dispatch kind (resume = a process wake; empty/small/boxed/static = the
-// EventAction kinds of pooled events), answering "why is this sweep slow"
-// from a table instead of perf.
+// dispatch kind (resume = a process wake, static = a pooled static call,
+// the only two event forms), answering "why is this sweep slow" from a
+// table instead of perf.
 //
 // Dispatch counts are exact and deterministic.  Wall time is sampled — one
 // steady_clock pair every kSampleEvery dispatches, attributed to that
@@ -24,8 +24,11 @@ namespace pimsim::obs {
 /// Per-simulation profile accumulator, driven by Simulation::dispatch.
 class KernelProfiler {
  public:
-  /// Kind ids 0..4: EventAction's kEmpty, kSmall (2), kBoxed (3) and
-  /// kStatic (4), plus process wakes (1, EventAction::kWakeKindId).
+  /// Kind ids 0..4: process wakes are 1 (EventAction::kWakeKindId) and
+  /// static calls 4 (EventAction::kCallKindId).  Ids 0, 2 and 3 (empty,
+  /// small, boxed) named retired callable forms: they are reserved and
+  /// never dispatched, and keep their names so reports that list every
+  /// kind (perfbench's des.dispatches.* rows) stay the same shape.
   static constexpr std::size_t kKinds = 5;
 
   /// Every kSampleEvery-th dispatch is wall-timed (power of two).

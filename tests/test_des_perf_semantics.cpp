@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_arena.hpp"
 #include "common/error.hpp"
 #include "core/figures.hpp"
 #include "des/audit.hpp"
@@ -107,18 +108,19 @@ struct KernelTrace {
 
 KernelTrace run_workload(int mode /* 0=run, 1=step, 2=sliced run_until */) {
   des::Simulation sim;
+  test::ClosureArena events(sim);
   KernelTrace out;
-  sim.schedule_at(5.0, [&] { out.order.push_back(1); });
-  sim.schedule_at(5.0, [&] {
+  events.at(5.0, [&] { out.order.push_back(1); });
+  events.at(5.0, [&] {
     out.order.push_back(2);
-    sim.schedule_now([&] { out.order.push_back(4); });
-    sim.schedule_in(2.5, [&] { out.order.push_back(5); });
+    events.now([&] { out.order.push_back(4); });
+    events.in(2.5, [&] { out.order.push_back(5); });
   });
   const des::EventId doomed =
-      sim.schedule_at(6.0, [&] { out.order.push_back(99); });
-  sim.schedule_at(5.0, [&] { out.order.push_back(3); });
+      events.at(6.0, [&] { out.order.push_back(99); });
+  events.at(5.0, [&] { out.order.push_back(3); });
   EXPECT_TRUE(sim.cancel(doomed));
-  sim.schedule_at(10.0, [&] { out.order.push_back(6); });
+  events.at(10.0, [&] { out.order.push_back(6); });
 
   if (mode == 0) {
     sim.run();
@@ -153,11 +155,12 @@ TEST(SimulationSemantics, StepRunAndRunUntilAreEquivalent) {
 
 TEST(SimulationSemantics, CancelDuringDispatch) {
   des::Simulation sim;
+  test::ClosureArena events(sim);
   bool later_fired = false;
   des::EventId later = des::kInvalidEvent;
   // An event that cancels a same-timestamp successor mid-dispatch.
-  sim.schedule_at(1.0, [&] { EXPECT_TRUE(sim.cancel(later)); });
-  later = sim.schedule_at(1.0, [&] { later_fired = true; });
+  events.at(1.0, [&] { EXPECT_TRUE(sim.cancel(later)); });
+  later = events.at(1.0, [&] { later_fired = true; });
   sim.run();
   EXPECT_FALSE(later_fired);
   EXPECT_EQ(sim.events_dispatched(), 1u);
@@ -166,9 +169,10 @@ TEST(SimulationSemantics, CancelDuringDispatch) {
 
 TEST(SimulationSemantics, SelfCancelInsideCallbackIsNoOp) {
   des::Simulation sim;
+  test::ClosureArena events(sim);
   des::EventId id = des::kInvalidEvent;
   int fired = 0;
-  id = sim.schedule_at(2.0, [&] {
+  id = events.at(2.0, [&] {
     ++fired;
     EXPECT_FALSE(sim.cancel(id));  // the dispatching event is gone already
   });
@@ -178,13 +182,14 @@ TEST(SimulationSemantics, SelfCancelInsideCallbackIsNoOp) {
 
 TEST(SimulationSemantics, EventIdsAreNotConfusedAcrossSlotReuse) {
   des::Simulation sim;
+  test::ClosureArena events(sim);
   bool first_fired = false;
   bool second_fired = false;
-  const des::EventId first = sim.schedule_at(1.0, [&] { first_fired = true; });
+  const des::EventId first = events.at(1.0, [&] { first_fired = true; });
   EXPECT_TRUE(sim.cancel(first));
   // The slot is recycled: the stale id must not cancel the new event.
   const des::EventId second =
-      sim.schedule_at(2.0, [&] { second_fired = true; });
+      events.at(2.0, [&] { second_fired = true; });
   EXPECT_NE(first, second);
   EXPECT_FALSE(sim.cancel(first));
   sim.run();
@@ -204,7 +209,7 @@ TEST(SimulationSemantics, CancelledFarFutureEventsDoNotAccumulate) {
   std::size_t max_entries = 0;
   for (int i = 0; i < kTimeouts; ++i) {
     const des::EventId id =
-        sim.schedule_at(1e12 + static_cast<double>(i), [] {});
+        test::no_op_at(sim, 1e12 + static_cast<double>(i));
     ASSERT_TRUE(sim.cancel(id));
     max_entries = std::max(max_entries, sim.calendar_entries());
   }
@@ -222,7 +227,7 @@ TEST(SimulationSemantics, CancelledWheelEventsDoNotAccumulate) {
   std::size_t max_entries = 0;
   for (int i = 0; i < 100'000; ++i) {
     const des::EventId id =
-        sim.schedule_at(1.0 + static_cast<double>(i % 1000), [] {});
+        test::no_op_at(sim, 1.0 + static_cast<double>(i % 1000));
     ASSERT_TRUE(sim.cancel(id));
     max_entries = std::max(max_entries, sim.calendar_entries());
   }
@@ -234,15 +239,16 @@ TEST(SimulationSemantics, CancelledWheelEventsDoNotAccumulate) {
 
 TEST(SimulationSemantics, CancelHeavyMixedLoadKeepsCalendarBounded) {
   des::Simulation sim;
+  test::ClosureArena events(sim);
   std::uint64_t fired = 0;
   constexpr int kOps = 100'000;
   for (int i = 0; i < kOps; ++i) {
     // One live near event per ten cancelled far timeouts.
     for (int j = 0; j < 10; ++j) {
-      const des::EventId t = sim.schedule_at(1e9 + i * 10.0 + j, [] {});
+      const des::EventId t = test::no_op_at(sim, 1e9 + i * 10.0 + j);
       ASSERT_TRUE(sim.cancel(t));
     }
-    sim.schedule_at(static_cast<double>(i), [&] { ++fired; });
+    events.at(static_cast<double>(i), [&] { ++fired; });
   }
   EXPECT_LE(sim.calendar_entries(), 2u * sim.events_pending() + 128u);
   sim.run();
@@ -279,9 +285,9 @@ TEST(FigureDeterminism, Fig12BitwiseIdenticalAcrossSweepThreads) {
 des::AuditLog audited_workload(double first_time) {
   des::Simulation sim;
   sim.set_audit(true);
-  sim.schedule_at(first_time, [] {});
+  test::no_op_at(sim, first_time);
   for (int i = 0; i < 1500; ++i) {
-    sim.schedule_at(10.0 + i, [] {});
+    test::no_op_at(sim, 10.0 + i);
   }
   sim.run();
   EXPECT_TRUE(sim.audit_enabled());
@@ -310,7 +316,7 @@ TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruption) {
   des::Simulation sim;
   sim.set_audit(true);
   for (int i = 0; i < 8; ++i) {
-    sim.schedule_at(1.0 + i, [] {});
+    test::no_op_at(sim, 1.0 + i);
   }
   sim.audit_check_now();  // healthy kernel: no throw
   sim.corrupt_calendar_for_test();
@@ -326,7 +332,7 @@ TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruptionOffTheWheel) {
   des::Simulation sim;
   sim.set_audit(true);
   for (int i = 0; i < 8; ++i) {
-    sim.schedule_at(2000.5 + i, [] {});
+    test::no_op_at(sim, 2000.5 + i);
   }
   sim.audit_check_now();
   sim.corrupt_calendar_for_test();
@@ -340,7 +346,7 @@ TEST(AuditMode, InvariantSweepCatchesInjectedHeapCorruptionOffTheWheel) {
 TEST(AuditMode, InvariantSweepCatchesKeyOrderBreakInsideOneBucket) {
   des::Simulation sim;
   sim.set_audit(true);
-  for (const double t : {5.0, 5.0, 5.1, 5.2}) sim.schedule_at(t, [] {});
+  for (const double t : {5.0, 5.0, 5.1, 5.2}) test::no_op_at(sim, t);
   sim.audit_check_now();
   sim.corrupt_calendar_for_test();
   try {

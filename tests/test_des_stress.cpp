@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "closure_arena.hpp"
 #include "common/rng.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
@@ -83,11 +84,12 @@ TEST(DesStress, DifferentSeedsDiverge) {
 
 TEST(DesStress, CancellationStorm) {
   Simulation sim;
+  test::ClosureArena events(sim);
   Rng rng(5);
   std::vector<EventId> ids;
   int fired = 0;
   for (int i = 0; i < 10'000; ++i) {
-    ids.push_back(sim.schedule_at(rng.uniform(0.0, 1000.0), [&] { ++fired; }));
+    ids.push_back(events.at(rng.uniform(0.0, 1000.0), [&] { ++fired; }));
   }
   int cancelled = 0;
   for (std::size_t i = 0; i < ids.size(); i += 2) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_arena.hpp"
 #include "des/process.hpp"
 #include "des/simulation.hpp"
 #include "golden_traffic.hpp"
@@ -152,13 +153,14 @@ TEST(GoldenTiming, ModesAgreeUnderStaggeredContentionWithoutTies) {
   // reserve an idle wire for a train whose flits have not arrived.
   for (int mode = 0; mode < 2; ++mode) {
     des::Simulation sim;
+    test::ClosureArena events(sim);
     PacketConfig cfg = golden::golden_config();
     cfg.wormhole = mode == 1;
     PacketNetwork net(sim, TopologyBuilder::mesh2d(4, 4), cfg);
     double a_at = -1.0;
     double b_at = -1.0;
     net.send(0, 2, 32, &golden::stamp_now, &sim, golden::stamp_slot(&a_at), 0);
-    sim.schedule_in(2.0, [&] {
+    events.in(2.0, [&] {
       net.send(1, 2, 8, &golden::stamp_now, &sim, golden::stamp_slot(&b_at), 0);
     });
     sim.run();

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_arena.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
 #include "des/simulation.hpp"
@@ -33,10 +34,11 @@ TEST(Mailbox, DeliversQueuedMessageImmediately) {
 
 TEST(Mailbox, ReceiverBlocksUntilSend) {
   Simulation sim;
+  test::ClosureArena events(sim);
   Mailbox<int> box(sim);
   std::vector<std::pair<int, double>> got;
   sim.spawn(receiver(sim, box, &got, 1));
-  sim.schedule_at(15.0, [&] { box.send(7); });
+  events.at(15.0, [&] { box.send(7); });
   sim.run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].first, 7);
@@ -55,12 +57,13 @@ TEST(Mailbox, MessagesAreFifo) {
 
 TEST(Mailbox, WaitersAreFifo) {
   Simulation sim;
+  test::ClosureArena events(sim);
   Mailbox<int> box(sim);
   std::vector<std::pair<int, double>> got_a, got_b;
   sim.spawn(receiver(sim, box, &got_a, 1));  // first waiter
   sim.spawn(receiver(sim, box, &got_b, 1));  // second waiter
-  sim.schedule_at(1.0, [&] { box.send(100); });
-  sim.schedule_at(2.0, [&] { box.send(200); });
+  events.at(1.0, [&] { box.send(100); });
+  events.at(2.0, [&] { box.send(200); });
   sim.run();
   ASSERT_EQ(got_a.size(), 1u);
   ASSERT_EQ(got_b.size(), 1u);
@@ -90,14 +93,15 @@ TEST(Mailbox, PendingCountsQueuedMessages) {
 
 TEST(Mailbox, ItemsAndWaitersNeverCoexist) {
   Simulation sim;
+  test::ClosureArena events(sim);
   Mailbox<int> box(sim);
   std::vector<std::pair<int, double>> got;
   sim.spawn(receiver(sim, box, &got, 3));
-  sim.schedule_at(1.0, [&] {
+  events.at(1.0, [&] {
     box.send(1);
     box.send(2);  // no waiter yet for this one (receiver resumes later)
   });
-  sim.schedule_at(2.0, [&] { box.send(3); });
+  events.at(2.0, [&] { box.send(3); });
   sim.run();
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].first, 1);

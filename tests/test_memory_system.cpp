@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "closure_arena.hpp"
 #include "common/error.hpp"
 #include "core/scenario.hpp"
 #include "des/process.hpp"
@@ -283,7 +284,7 @@ TEST(Exclusive, AccessIntoAReservedBankThrows) {
                LogicError);
   EXPECT_EQ(memory->accesses(), 1u);
   // Once simulated time reaches the reservation the bank is free again.
-  (void)sim.schedule_at(kTml, [] {});
+  (void)test::no_op_at(sim, kTml);
   sim.run();
   memory->access(sim, 0, 32, AccessKind::kLwpRow, false, &ignore_completion,
                  nullptr, 0, 0);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <optional>
 #include <sstream>
@@ -11,7 +10,10 @@
 #include <thread>
 #include <vector>
 
+#include "closure_arena.hpp"
+#include "common/config.hpp"
 #include "common/error.hpp"
+#include "core/scenario.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
 #include "des/resource.hpp"
@@ -413,7 +415,7 @@ TEST(Session, ReachesWorkerThreadsAndReportsTheirHubs) {
   EXPECT_EQ(ProfileHub::global().simulations(), 0u);  // reset on entry
   std::thread worker([] {
     des::Simulation sim;
-    sim.schedule_at(1.0, [] {});
+    test::no_op_at(sim, 1.0);
     sim.run();
   });
   worker.join();
@@ -433,17 +435,11 @@ TEST(Profiler, KindCountsAreExact) {
   sim.set_profile(true);
   ASSERT_TRUE(sim.profile_enabled());
 
-  // 10 small lambdas (fit the inline buffer)...
-  for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(1.0 + i, [] {});
+  // 11 static calls...
+  for (int i = 0; i < 11; ++i) {
+    test::no_op_at(sim, 1.0 + i);
   }
-  // ...one boxed callable (capture larger than EventAction::kInlineSize)...
-  std::array<char, 64> big{};
-  sim.schedule_at(20.0, [big] { (void)big; });
-  // ...one static-call event...
-  sim.schedule_static_at(
-      21.0, [](void*, std::uint64_t, std::uint64_t) {}, nullptr, 0, 0);
-  // ...and a process whose delays dispatch as coroutine resumes.
+  // ...and a process whose start and two delays dispatch as wakes.
   sim.spawn([](des::Simulation& s) -> des::Process {
     co_await des::delay(s, 5.0);
     co_await des::delay(s, 5.0);
@@ -453,11 +449,32 @@ TEST(Profiler, KindCountsAreExact) {
   const KernelProfiler* prof = sim.profiler();
   ASSERT_NE(prof, nullptr);
   const auto& stats = prof->stats();
-  EXPECT_EQ(stats[2].dispatches, 10u);  // kSmall
-  EXPECT_EQ(stats[3].dispatches, 1u);   // kBoxed
-  EXPECT_EQ(stats[4].dispatches, 1u);   // kStatic
-  EXPECT_GE(stats[1].dispatches, 2u);   // process wakes: two delays at least
+  EXPECT_EQ(stats[des::EventAction::kCallKindId].dispatches, 11u);
+  EXPECT_EQ(stats[des::EventAction::kWakeKindId].dispatches, 3u);
+  for (const std::size_t reserved : {0, 2, 3}) {
+    EXPECT_EQ(stats[reserved].dispatches, 0u) << KernelProfiler::kind_name(reserved);
+  }
   EXPECT_EQ(prof->total_dispatches(), sim.events_dispatched());
+}
+
+TEST(Profiler, FigureRunsDispatchOnlyWakesAndStaticCalls) {
+  // Every event the models schedule is a process wake or a static call:
+  // kind ids 0, 2 and 3 are reserved and never dispatched.
+  const Session session({.profile = true});
+  (void)core::run_scenario("fig12", Config::from_string("sizes=1,16 horizon=2000"));
+  (void)core::run_scenario(
+      "fig11", Config::from_string("nodes=16 network=mesh2d contention=1 horizon=4000 "
+                                   "latencies=10,500 remotes=0.5"));
+  const KernelProfiler prof = ProfileHub::global().snapshot();
+  EXPECT_GT(prof.stats()[des::EventAction::kWakeKindId].dispatches, 0u);
+  EXPECT_GT(prof.stats()[des::EventAction::kCallKindId].dispatches, 0u);
+  for (const std::size_t reserved : {0, 2, 3}) {
+    EXPECT_EQ(prof.stats()[reserved].dispatches, 0u)
+        << KernelProfiler::kind_name(reserved);
+  }
+  EXPECT_EQ(prof.total_dispatches(),
+            prof.stats()[des::EventAction::kWakeKindId].dispatches +
+                prof.stats()[des::EventAction::kCallKindId].dispatches);
 }
 
 TEST(Profiler, MergeAddsCountsAndTableRenders) {

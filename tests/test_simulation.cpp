@@ -8,7 +8,6 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -16,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "closure_arena.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "des/mailbox.hpp"
@@ -33,10 +33,11 @@ TEST(Simulation, StartsAtTimeZero) {
 
 TEST(Simulation, DispatchesInTimeOrder) {
   Simulation sim;
+  test::ClosureArena events(sim);
   std::vector<int> order;
-  sim.schedule_at(30.0, [&] { order.push_back(3); });
-  sim.schedule_at(10.0, [&] { order.push_back(1); });
-  sim.schedule_at(20.0, [&] { order.push_back(2); });
+  events.at(30.0, [&] { order.push_back(3); });
+  events.at(10.0, [&] { order.push_back(1); });
+  events.at(20.0, [&] { order.push_back(2); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
   EXPECT_DOUBLE_EQ(sim.now(), 30.0);
@@ -44,9 +45,10 @@ TEST(Simulation, DispatchesInTimeOrder) {
 
 TEST(Simulation, SameTimeEventsAreFifo) {
   Simulation sim;
+  test::ClosureArena events(sim);
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    sim.schedule_at(5.0, [&order, i] { order.push_back(i); });
+    events.at(5.0, [&order, i] { order.push_back(i); });
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
@@ -54,9 +56,10 @@ TEST(Simulation, SameTimeEventsAreFifo) {
 
 TEST(Simulation, ScheduleInIsRelative) {
   Simulation sim;
+  test::ClosureArena events(sim);
   double fired_at = -1.0;
-  sim.schedule_at(10.0, [&] {
-    sim.schedule_in(5.0, [&] { fired_at = sim.now(); });
+  events.at(10.0, [&] {
+    events.in(5.0, [&] { fired_at = sim.now(); });
   });
   sim.run();
   EXPECT_DOUBLE_EQ(fired_at, 15.0);
@@ -64,20 +67,22 @@ TEST(Simulation, ScheduleInIsRelative) {
 
 TEST(Simulation, ScheduleNowRunsAfterPendingSameTimeEvents) {
   Simulation sim;
+  test::ClosureArena events(sim);
   std::vector<int> order;
-  sim.schedule_at(1.0, [&] {
-    sim.schedule_now([&] { order.push_back(2); });
+  events.at(1.0, [&] {
+    events.now([&] { order.push_back(2); });
     order.push_back(1);
   });
-  sim.schedule_at(1.0, [&] { order.push_back(0); });
+  events.at(1.0, [&] { order.push_back(0); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
 }
 
 TEST(Simulation, CancelPreventsDispatch) {
   Simulation sim;
+  test::ClosureArena events(sim);
   bool fired = false;
-  const EventId id = sim.schedule_at(5.0, [&] { fired = true; });
+  const EventId id = events.at(5.0, [&] { fired = true; });
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_FALSE(sim.cancel(id));  // second cancel is a no-op
   sim.run();
@@ -89,11 +94,12 @@ TEST(Simulation, CancelReachesRecordsInEveryPoolChunk) {
   // 512 records).  Cancelling every other one must find each record by
   // its id; stale and forged ids must not match.
   Simulation sim;
+  test::ClosureArena events(sim);
   sim.set_audit(true);
   std::vector<EventId> ids;
   int fired = 0;
   for (int i = 0; i < 500; ++i) {
-    ids.push_back(sim.schedule_at(1.0 + i % 7, [&fired] { ++fired; }));
+    ids.push_back(events.at(1.0 + i % 7, [&fired] { ++fired; }));
   }
   for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_TRUE(sim.cancel(ids[i]));
   for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_FALSE(sim.cancel(ids[i]));
@@ -107,28 +113,55 @@ TEST(Simulation, CancelReachesRecordsInEveryPoolChunk) {
   sim.audit_check_now();
 }
 
-TEST(Simulation, PendingCallablesDieWithTheSimulation) {
-  // Pending, cancelled and dispatched callables are each destroyed once,
-  // across several pool chunks.
-  const auto token = std::make_shared<int>(0);
+void count_call(void* counter, std::uint64_t, std::uint64_t) {
+  ++*static_cast<int*>(counter);
+}
+
+TEST(Simulation, TeardownRunsNoPendingEvent) {
+  // Records are trivially destructible: a simulation destroyed with
+  // pending and cancelled static calls across several pool chunks frees
+  // them without running any (the sanitizer jobs check the teardown).
+  int fired = 0;
   {
     Simulation sim;
     std::vector<EventId> ids;
     for (int i = 0; i < 300; ++i) {
-      ids.push_back(sim.schedule_at(static_cast<double>(i), [token] {}));
+      ids.push_back(
+          sim.schedule_static_at(static_cast<double>(i), &count_call, &fired, 0, 0));
     }
     for (std::size_t i = 0; i < ids.size(); i += 3) sim.cancel(ids[i]);
     sim.run_until(150.0);
-    EXPECT_EQ(token.use_count(), 1 + static_cast<long>(sim.events_pending()));
+    EXPECT_EQ(fired, 100);  // 151 events at 0..150, 51 of them cancelled
+    EXPECT_EQ(sim.events_pending(), 100u);
   }
-  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(fired, 100);
+}
+
+TEST(Simulation, NullStaticCallIsRejectedAtScheduleTime) {
+  // A null fn throws where it is scheduled, not later at dispatch, and
+  // leaves the calendar, the record pool and the seq counter untouched.
+  Simulation sim;
+  sim.set_audit(true);
+  (void)test::no_op_at(sim, 5.0);
+  const std::uint64_t seq = sim.allocate_seq();
+  EXPECT_THROW(sim.schedule_static_at(1.0, nullptr, nullptr, 0, 0), LogicError);
+  EXPECT_THROW(sim.schedule_static_at_seq(2.0, seq, nullptr, nullptr, 0, 0),
+               LogicError);
+  EXPECT_EQ(sim.events_pending(), 1u);
+  EXPECT_EQ(sim.calendar_entries(), 1u);
+  EXPECT_EQ(sim.allocate_seq(), seq + 1);
+  sim.audit_check_now();
+  sim.run();
+  EXPECT_EQ(sim.events_dispatched(), 1u);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
 TEST(Simulation, RunUntilStopsAtHorizonAndAdvancesClock) {
   Simulation sim;
+  test::ClosureArena events(sim);
   int count = 0;
   for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    sim.schedule_at(t, [&] { ++count; });
+    events.at(t, [&] { ++count; });
   }
   sim.run_until(2.5);
   EXPECT_EQ(count, 2);
@@ -141,17 +174,19 @@ TEST(Simulation, RunUntilStopsAtHorizonAndAdvancesClock) {
 
 TEST(Simulation, RunUntilIncludesEventsExactlyAtHorizon) {
   Simulation sim;
+  test::ClosureArena events(sim);
   bool fired = false;
-  sim.schedule_at(5.0, [&] { fired = true; });
+  events.at(5.0, [&] { fired = true; });
   sim.run_until(5.0);
   EXPECT_TRUE(fired);
 }
 
 TEST(Simulation, StepDispatchesOneEvent) {
   Simulation sim;
+  test::ClosureArena events(sim);
   int count = 0;
-  sim.schedule_at(1.0, [&] { ++count; });
-  sim.schedule_at(2.0, [&] { ++count; });
+  events.at(1.0, [&] { ++count; });
+  events.at(2.0, [&] { ++count; });
   EXPECT_TRUE(sim.step());
   EXPECT_EQ(count, 1);
   EXPECT_TRUE(sim.step());
@@ -161,26 +196,29 @@ TEST(Simulation, StepDispatchesOneEvent) {
 
 TEST(Simulation, RejectsPastScheduling) {
   Simulation sim;
-  sim.schedule_at(10.0, [] {});
+  test::ClosureArena events(sim);
+  test::no_op_at(sim, 10.0);
   sim.run();
-  EXPECT_THROW(sim.schedule_at(5.0, [] {}), LogicError);
-  EXPECT_THROW(sim.schedule_in(-1.0, [] {}), LogicError);
+  EXPECT_THROW(test::no_op_at(sim, 5.0),
+               LogicError);
+  EXPECT_THROW(events.in(-1.0, [] {}), LogicError);
 }
 
 TEST(Simulation, RejectsPastHorizon) {
   Simulation sim;
-  sim.schedule_at(10.0, [] {});
+  test::no_op_at(sim, 10.0);
   sim.run();
   EXPECT_THROW(sim.run_until(5.0), LogicError);
 }
 
 TEST(Simulation, EventsCanScheduleMoreEvents) {
   Simulation sim;
+  test::ClosureArena events(sim);
   int depth = 0;
   std::function<void()> chain = [&] {
-    if (++depth < 100) sim.schedule_in(1.0, chain);
+    if (++depth < 100) events.in(1.0, chain);
   };
-  sim.schedule_at(0.0, chain);
+  events.at(0.0, chain);
   sim.run();
   EXPECT_EQ(depth, 100);
   EXPECT_DOUBLE_EQ(sim.now(), 99.0);
@@ -191,7 +229,7 @@ TEST(Simulation, TracerRecordsSchedulingAndDispatch) {
   Simulation sim;
   Tracer tracer;
   sim.set_tracer(&tracer);
-  sim.schedule_at(1.0, [] {});
+  test::no_op_at(sim, 1.0);
   sim.run();
   ASSERT_GE(tracer.records().size(), 2u);
   EXPECT_EQ(tracer.records()[0].kind, TraceKind::kEventScheduled);
@@ -204,7 +242,7 @@ TEST(Simulation, TracerCallbackMode) {
   int callback_count = 0;
   Tracer tracer([&](const TraceRecord&) { ++callback_count; });
   sim.set_tracer(&tracer);
-  sim.schedule_at(1.0, [] {});
+  test::no_op_at(sim, 1.0);
   sim.run();
   EXPECT_GE(callback_count, 2);
   EXPECT_TRUE(tracer.records().empty());  // forwarded, not buffered
@@ -489,12 +527,8 @@ class CalendarOracle {
     const std::uint64_t tag = next_tag_++;
     ++scheduled_;
     const std::uint64_t seq = next_seq_++;
-    EventId id = kInvalidEvent;
-    if (rng_.bernoulli(0.5)) {
-      id = sim_.schedule_at(at, [this, tag] { fire(tag); });
-    } else {
-      id = sim_.schedule_static_at(at, &CalendarOracle::on_static, this, tag, 0);
-    }
+    const EventId id =
+        sim_.schedule_static_at(at, &CalendarOracle::on_static, this, tag, 0);
     add(tag, id, at, seq);
   }
 
@@ -577,10 +611,11 @@ TEST(CalendarDifferential, WheelScanWrapsIntoTheStartWord) {
   // same bitmap word as the start, below it -- and must still dispatch
   // after 20.
   Simulation sim;
+  test::ClosureArena events(sim);
   sim.run_until(10.5);
   std::vector<double> order;
   for (const double t : {1029.0, 20.0, 1033.0}) {
-    sim.schedule_at(t, [&] { order.push_back(sim.now()); });
+    events.at(t, [&] { order.push_back(sim.now()); });
   }
   sim.run();
   EXPECT_EQ(order, (std::vector<double>{20.0, 1029.0, 1033.0}));
