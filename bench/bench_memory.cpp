@@ -8,9 +8,12 @@
 //             bank (row misses, still uncontended)
 //   hotspot   banked, every node hammers node 0's bank (worst-case FIFO
 //             queueing and waiter-ring churn)
-//   exclusive banked, the strided stream on private banks retired
-//             synchronously (MemorySystem::retire) on each node's local
-//             clock: the exclusive-bank lookahead path, no event per access
+//   exclusive banked, the strided stream on private banks handed over as
+//             one closed-loop stream per node (MemorySystem::run_stream),
+//             each run alone on its own clock: no event per access
+//   shared    the same streams on private banks behind one shared port:
+//             all 16 run as one stream group on the memory's private
+//             schedule, one static call for the group and one wake per node
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
 // always build it.  Each cell runs `reps` times; every repetition lands
@@ -67,30 +70,45 @@ des::Process stream(des::Simulation& sim, const mem::MemorySystem& memory,
   }
 }
 
-/// The closed-loop retire stream: same addresses as `strided`, one
-/// wake-up at the end instead of one event per access.
-des::Process retire_stream(des::Simulation& sim,
-                           const mem::MemorySystem& memory, std::size_t node,
-                           const BenchParams& p) {
-  std::uint64_t addr = static_cast<std::uint64_t>(node) << 32;
-  SimTime t = sim.now();
-  for (int i = 0; i < p.accesses; ++i) {
-    t += memory.retire(sim, node, addr, mem::AccessKind::kLwpRow, t);
-    addr += 32;
+/// The strided stream as one closed-loop access stream: each access is
+/// issued the moment the previous one retires.
+class StridedStream final : public mem::AccessStream {
+ public:
+  StridedStream(std::uint64_t base, int count) : addr_(base), left_(count) {}
+
+  mem::StreamStep next(SimTime done_at) override {
+    if (left_ == 0) return mem::StreamStep{.at = done_at, .end = true};
+    --left_;
+    const std::uint64_t addr = addr_;
+    addr_ += 32;
+    return mem::StreamStep{.at = done_at, .addr = addr};
   }
-  co_await des::wait_until(sim, t);
+
+ private:
+  std::uint64_t addr_;
+  int left_;
+};
+
+/// One node's strided stream through the stream seam: one wake-up at the
+/// end instead of one event per access.
+des::Process closed_loop(des::Simulation& sim, const mem::MemorySystem& memory,
+                         std::size_t node, const BenchParams& p) {
+  StridedStream stream(static_cast<std::uint64_t>(node) << 32, p.accesses);
+  const SimTime end = co_await mem::StreamAwaitable{memory, sim, node, stream};
+  co_await des::wait_until(sim, end);
 }
 
 Sample run_cell(const std::string& pattern, const BenchParams& p) {
   mem::MemoryConfig mc;
   mc.kind = pattern == "analytic" ? "analytic" : "banked";
   mc.nodes = p.nodes;
+  if (pattern == "shared") mc.queue = 1;
   const auto memory = mem::make_memory(mc);
   des::Simulation sim;
   Rng root(2026, 0x3D);
   for (std::size_t n = 0; n < p.nodes; ++n) {
-    if (pattern == "exclusive") {
-      sim.spawn(retire_stream(sim, *memory, n, p));
+    if (pattern == "exclusive" || pattern == "shared") {
+      sim.spawn(closed_loop(sim, *memory, n, p));
     } else {
       sim.spawn(stream(sim, *memory, n, root.split(n), p, pattern));
     }
@@ -130,7 +148,7 @@ int main(int argc, char** argv) {
                 {"Pattern", "accesses", "wall s", "accesses/s", "sim cycles",
                  "row-hit %"});
     for (const char* pattern : {"analytic", "strided", "uniform", "hotspot",
-                                "exclusive"}) {
+                                "exclusive", "shared"}) {
       bench::BenchCell cell{pattern, {}};
       Sample best{};
       for (std::size_t rep = 0; rep < reps; ++rep) {

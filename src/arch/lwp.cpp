@@ -14,6 +14,52 @@ namespace {
 constexpr std::uint64_t kAccessStrideBytes = 32;
 /// Each node streams through its own address region.
 constexpr std::uint64_t kNodeRegionBytes = std::uint64_t{1} << 32;
+
+/// The contended path's closed-loop access stream: geometric compute runs
+/// (they cannot conflict, so they advance the stream's clock in one step)
+/// between strided row accesses, charged into `counts` in issue order.
+class AccessRun final : public mem::AccessStream {
+ public:
+  AccessRun(const SystemParams& params, Rng& rng, OpCounts& counts,
+            std::uint64_t ops, std::uint64_t addr)
+      : params_(params), rng_(rng), counts_(counts), remaining_(ops),
+        addr_(addr) {}
+
+  mem::StreamStep next(SimTime done_at) override {
+    if (in_access_) {
+      addr_ += kAccessStrideBytes;
+      counts_.ops += 1;
+      counts_.mem_ops += 1;
+      counts_.busy_cycles += done_at - start_;  // includes bank queueing
+      remaining_ -= 1;
+    }
+    SimTime t = done_at;
+    if (remaining_ > 0) {
+      // Length of the compute run until the next memory access.
+      const std::uint64_t compute =
+          std::min(rng_.geometric(params_.ls_mix), remaining_);
+      if (compute > 0) {
+        t += static_cast<double>(compute) * params_.tl_cycle;
+        counts_.ops += compute;
+        counts_.busy_cycles += static_cast<double>(compute) * params_.tl_cycle;
+        remaining_ -= compute;
+      }
+    }
+    in_access_ = remaining_ > 0;
+    if (!in_access_) return mem::StreamStep{.at = t, .end = true};
+    start_ = t;
+    return mem::StreamStep{.at = t, .addr = addr_};
+  }
+
+ private:
+  const SystemParams& params_;
+  Rng& rng_;
+  OpCounts& counts_;
+  std::uint64_t remaining_;
+  std::uint64_t addr_;
+  SimTime start_ = 0.0;     // issue time of the access in flight
+  bool in_access_ = false;  // an access was issued by the last step
+};
 }  // namespace
 
 Lwp::Lwp(des::Simulation& sim, const SystemParams& params, Rng rng,
@@ -48,44 +94,14 @@ des::Process Lwp::run_batched(std::uint64_t ops) {
 }
 
 des::Process Lwp::run_contended(std::uint64_t ops) {
-  // Per-access path on a local clock `t`: compute runs are aggregated
-  // (they cannot conflict) and each memory access goes through the seam.
-  // On a shared bank the process meets the kernel before every access,
-  // which then queues at its home bank behind other accessors.  On an
-  // exclusive bank nothing can queue, so the access retires on the spot
-  // and the stream meets the kernel once, at its end (lookahead).
-  const bool exclusive = memory_->exclusive(node_);
-  std::uint64_t addr = static_cast<std::uint64_t>(node_) * kNodeRegionBytes;
-  std::uint64_t remaining = ops;
-  SimTime t = sim_.now();
-  while (remaining > 0) {
-    // Length of the compute run until the next memory access.
-    const std::uint64_t gap = rng_.geometric(params_.ls_mix);
-    const std::uint64_t compute = std::min(gap, remaining);
-    if (compute > 0) {
-      t += static_cast<double>(compute) * params_.tl_cycle;
-      counts_.ops += compute;
-      counts_.busy_cycles += static_cast<double>(compute) * params_.tl_cycle;
-      remaining -= compute;
-    }
-    if (remaining == 0) break;
-
-    const SimTime start = t;
-    if (exclusive) {
-      t += memory_->retire(sim_, node_, addr, mem::AccessKind::kLwpRow, t);
-    } else {
-      co_await des::wait_until(sim_, t);
-      co_await mem::AccessAwaitable{*memory_, sim_, node_, addr,
-                                    mem::AccessKind::kLwpRow};
-      t = sim_.now();
-    }
-    addr += kAccessStrideBytes;
-    counts_.ops += 1;
-    counts_.mem_ops += 1;
-    counts_.busy_cycles += t - start;  // includes bank queueing
-    remaining -= 1;
-  }
-  co_await des::wait_until(sim_, t);
+  // The whole share is one closed-loop stream: the memory runs it (alone
+  // on an exclusive bank, else with the instant's other streams) and the
+  // process meets the kernel once more, at the stream's end.
+  AccessRun stream(params_, rng_, counts_, ops,
+                   static_cast<std::uint64_t>(node_) * kNodeRegionBytes);
+  const SimTime end =
+      co_await mem::StreamAwaitable{*memory_, sim_, node_, stream};
+  co_await des::wait_until(sim_, end);
 }
 
 }  // namespace pimsim::arch

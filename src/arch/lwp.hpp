@@ -8,11 +8,14 @@
 // batched charging; a contended backend (memory=banked) switches to
 // per-access issue so bank queueing and shared-port arbitration are
 // visible — the bank-conflict ablation's measurement path.  That path
-// keeps a local clock: on a bank other nodes can reach it meets the
-// kernel before every access, but on an exclusive bank
-// (MemorySystem::exclusive) it retires each access synchronously through
-// MemorySystem::retire and dispatches one wake-up when its share ends —
-// the same times and statistics, without an event per access.
+// hands the memory the LWP's whole share as one closed-loop access stream
+// (mem::AccessStream: geometric compute runs on a local clock between
+// strided row accesses) and meets the kernel once more, at the stream's
+// end.  On an exclusive bank the stream runs alone on that clock; on a
+// shared one it runs with the same instant's other LWP streams on the
+// memory's private schedule.  Either way the times, counts and memory
+// statistics are bit-identical to issuing each access through
+// AccessAwaitable, without a kernel event per access.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +33,8 @@ class Lwp {
  public:
   /// `memory == nullptr` (or an uncontended backend) reproduces the
   /// paper's contention-free model with batched charging.  A contended
-  /// backend issues every access individually from `node` (use small op
-  /// counts: that path is per-access, not batched, unless `node` has an
-  /// exclusive bank).
+  /// backend sees every access individually from `node` (use small op
+  /// counts: that path is per-access, not batched).
   Lwp(des::Simulation& sim, const SystemParams& params, Rng rng,
       std::uint64_t batch_ops = 100'000,
       const mem::MemorySystem* memory = nullptr, std::size_t node = 0);

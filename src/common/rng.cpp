@@ -1,6 +1,8 @@
 #include "common/rng.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -57,12 +59,32 @@ bool Rng::bernoulli(double p) {
   return uniform() < p;
 }
 
-std::uint64_t Rng::binomial(std::uint64_t n, double p) {
+std::uint64_t binomial_draw(std::uint64_t n, double p, Xoshiro256pp& engine) {
   require(p >= 0.0 && p <= 1.0, "Rng::binomial: p must be in [0,1]");
   if (n == 0 || p == 0.0) return 0;
   if (p == 1.0) return n;
-  std::binomial_distribution<std::uint64_t> d(n, p);
-  return d(engine_);
+  using Distribution = std::binomial_distribution<std::uint64_t>;
+  struct Slot {
+    std::uint64_t n = 0;  // 0: empty (n == 0 never reaches the cache)
+    std::uint64_t p_bits = 0;
+    Distribution::param_type param;
+  };
+  constexpr int kSlotBits = 6;
+  // lint:allow(mutable-static): per-thread set-ups, each a pure function of its (n, p) key; every draw builds a fresh distribution from one, so no draw depends on what the cache held
+  thread_local std::array<Slot, std::size_t{1} << kSlotBits> cache{};
+  const auto p_bits = std::bit_cast<std::uint64_t>(p);
+  const std::uint64_t hash =
+      ((n * 0x9e3779b97f4a7c15ULL) ^ p_bits) * 0xbf58476d1ce4e5b9ULL;
+  Slot& slot = cache[hash >> (64 - kSlotBits)];
+  if (slot.n != n || slot.p_bits != p_bits) {
+    slot = Slot{n, p_bits, Distribution::param_type(n, p)};
+  }
+  Distribution d(slot.param);
+  return d(engine);
+}
+
+std::uint64_t Rng::binomial(std::uint64_t n, double p) {
+  return binomial_draw(n, p, engine_);
 }
 
 GeometricTable::GeometricTable(double p) : p_(p), log_1_p_(std::log(1.0 - p)) {

@@ -66,6 +66,17 @@ class Xoshiro256pp {
   std::uint64_t s_[4]{};
 };
 
+/// One draw from a fresh std::binomial_distribution<std::uint64_t>(n, p)
+/// on `engine`, word for word, without rebuilding its set-up each time.
+/// libstdc++ computes that set-up (a few logs and square roots once
+/// n * p >= 8) when the distribution is built; here it comes from a
+/// bounded per-thread direct-mapped cache of param_types keyed by n and
+/// the bits of p, and each draw still builds a fresh distribution from
+/// it (a reused one would carry a spare normal variate between draws).
+/// n == 0 and p == 0 return 0, p == 1 returns n, without consuming a
+/// word; p outside [0, 1] throws ConfigError.
+std::uint64_t binomial_draw(std::uint64_t n, double p, Xoshiro256pp& engine);
+
 /// Geometric draws by table inversion, bit-identical to libstdc++.
 ///
 /// A geometric draw is a monotone step function of one 64-bit engine word

@@ -85,17 +85,27 @@ Table make_fig5(const HostFigureConfig& config) {
   }
   Table t("Figure 5: Simulation of Performance Gain (test vs control)", cols);
 
+  // The control run ignores %WL and N (every work unit goes to the HWP)
+  // and every cell draws the same seed, so it runs once, with that seed,
+  // and each cell divides by it as simulated_gain() would.
+  arch::HostConfig control = config.base;
+  control.seed = replication_seeds(1, config.base.seed).front();
+  const double control_cycles = arch::run_control_system(control).total_cycles;
+
   // Fan the (%WL, N) grid across cores; point order fixes the table layout.
   const std::size_t n_cols = config.node_counts.size();
   SweepRunner runner(config.sweep_threads);
   const std::vector<Estimate> estimates = runner.sweep(
       config.lwp_fractions.size() * n_cols, /*replications=*/1,
-      config.base.seed, [&config, n_cols](std::size_t idx, std::uint64_t seed) {
+      config.base.seed,
+      [&config, n_cols, control_cycles](std::size_t idx, std::uint64_t seed) {
         arch::HostConfig point = config.base;
         point.workload.lwp_fraction = config.lwp_fractions[idx / n_cols];
         point.lwp_nodes = config.node_counts[idx % n_cols];
         point.seed = seed;
-        return arch::simulated_gain(point);
+        const double test_cycles = arch::run_host_system(point).total_cycles;
+        ensure(test_cycles > 0.0, "make_fig5: empty test run");
+        return control_cycles / test_cycles;
       });
 
   for (std::size_t pi = 0; pi < config.lwp_fractions.size(); ++pi) {

@@ -178,7 +178,14 @@ class Simulation {
   /// kind-specific payload words — no strings, no allocation.
   void trace(TraceKind kind, LabelId label, std::uint64_t a = 0,
              std::uint64_t b = 0) const {
-    if (tracer_) tracer_->record(TraceRecord{now_, a, b, label, kind});
+    trace_at(now_, kind, label, a, b);
+  }
+  /// trace() stamped with time `t` instead of now(): for a component that
+  /// runs ahead of the kernel on a clock of its own (a memory stream
+  /// group) and records what happened at that clock's time.
+  void trace_at(SimTime t, TraceKind kind, LabelId label, std::uint64_t a = 0,
+                std::uint64_t b = 0) const {
+    if (tracer_) tracer_->record(TraceRecord{t, a, b, label, kind});
   }
   /// Interns `name` into the active tracer's label table (0 when tracing
   /// is off).  Call sites cache the returned id (kLabelUninterned as the

@@ -479,6 +479,7 @@ void rule_unguarded_trace(const Ruleset& r) {
   };
   static constexpr Hot kHot[] = {
       {"trace", "tracing_enabled"},
+      {"trace_at", "tracing_enabled"},
       {"metrics", "metrics_enabled"},
   };
   for (const Hot& h : kHot) {

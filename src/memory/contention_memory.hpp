@@ -27,15 +27,26 @@
 // queued + in-service — alongside the kernel's own sweeps, the
 // memory-side analogue of the packet network's credit-ledger check.
 //
-// Exclusive banks: a node whose bank no other node reaches, with a port
-// for every bank in use, can never queue, so its accesses need no event.
-// exclusive(node) reports that, and retire() charges such an access
-// synchronously at the caller's local clock (statistics as access()
-// would keep them, no gauge or trace counter since nothing queues).  Each
-// bank records `reserved_until`, the completion time of its last retired
-// access; an access() that lands before it, or a retire() on a bank with
-// a request queued or in service, throws LogicError — the two paths never
-// interleave silently on one bank.
+// Streams (run_stream): a closed-loop accessor hands over its whole
+// access loop instead of one access at a time.  A stream on an exclusive
+// bank -- one no other node reaches, with a port for every bank in use --
+// can never queue, so it runs to its end at once on its own clock.
+// Every other stream registered at one instant joins that instant's
+// group; the first registration schedules one static call at now(), which
+// runs the whole group to its end on a private (time, seq) schedule that
+// drives the same bank FIFOs, port ring, row statistics and queue gauge
+// as access() does, through a small scheduler seam {now, allocate_seq,
+// schedule_at_seq} whose kernel side serves access().  The private
+// counter advances exactly where the kernel's would have for the
+// equivalent per-access coroutine loop (an issue deferred to a later time,
+// and each request's completion key at issue), so the group replays the
+// kernel's order and every completion time, row-buffer state and count
+// comes out bit-identical.  That holds only while the group's streams are
+// the memory's sole accessors: until the group's last stream ends, an
+// access() or a new stream throws LogicError, and so does a stream
+// registered while access() requests are in flight.  An exclusive bank
+// records `reserved_until`, the completion of its stream's last access,
+// and an access() before it throws too.
 //
 // Like ContentionInterconnect, the model is constructed unbound and
 // attaches to the first Simulation that accesses through it; reusing it
@@ -63,11 +74,9 @@ class ContentionMemory final : public MemorySystem {
               AccessKind kind, bool is_write, des::EventAction::StaticFn done,
               void* ctx, std::uint64_t a, std::uint64_t b) const override;
 
-  /// True iff no other node maps to bank_of(node) and there are at least
-  /// as many ports as banks in use (fixed at construction).
-  [[nodiscard]] bool exclusive(std::size_t node) const override;
-  Cycles retire(des::Simulation& sim, std::size_t node, std::uint64_t addr,
-                AccessKind kind, SimTime at) const override;
+  bool run_stream(des::Simulation& sim, std::size_t node, AccessStream& stream,
+                  SimTime& end, des::EventAction::StaticFn done,
+                  void* ctx) const override;
 
   /// Binds to `sim` eagerly (access() binds lazily on first use).
   void bind(des::Simulation& sim) const;
@@ -112,7 +121,8 @@ class ContentionMemory final : public MemorySystem {
 
   MemoryConfig cfg_;
   AccessMap map_;
-  /// Banks with exactly one node and a port guaranteed (see exclusive()).
+  /// Banks with exactly one node and a port guaranteed: their streams
+  /// can never queue.
   std::vector<bool> exclusive_bank_;
   // Bound lazily on first access(): the model outlives no Simulation, it
   // just has to be constructible before one exists.

@@ -30,11 +30,12 @@ void MemorySystem::access(des::Simulation& sim, std::size_t /*node*/,
   sim.schedule_static_at(sim.now() + zero_load_latency(kind), done, ctx, a, b);
 }
 
-Cycles MemorySystem::retire(des::Simulation& /*sim*/, std::size_t /*node*/,
-                            std::uint64_t /*addr*/, AccessKind /*kind*/,
-                            SimTime /*at*/) const {
-  throw LogicError(std::string("MemorySystem::retire: the ") + name() +
-                   " backend has no exclusive nodes");
+bool MemorySystem::run_stream(des::Simulation& /*sim*/, std::size_t /*node*/,
+                              AccessStream& /*stream*/, SimTime& /*end*/,
+                              des::EventAction::StaticFn /*done*/,
+                              void* /*ctx*/) const {
+  throw LogicError(std::string("MemorySystem::run_stream: the ") + name() +
+                   " backend is not contended; charge zero_load_latency()");
 }
 
 AnalyticMemory::AnalyticMemory(const MemoryConfig& config)

@@ -21,9 +21,11 @@
 //
 // The interface is completion-event based, not coroutine based, so the
 // contended backend can run allocation-free on the kernel's static-call
-// event path; coroutine code awaits an access via AccessAwaitable.  A
-// node whose accesses can never wait (exclusive()) may instead retire()
-// them synchronously on its own clock, with no event at all.
+// event path; coroutine code awaits an access via AccessAwaitable.  An
+// accessor whose accesses form a closed loop (each issued only after the
+// previous one retires) may instead hand the seam the whole loop as an
+// AccessStream (run_stream, StreamAwaitable): the backend then runs it
+// without a kernel event per access.
 #pragma once
 
 #include <coroutine>
@@ -76,6 +78,29 @@ struct MemoryConfig {
   [[nodiscard]] std::size_t resolved_ports() const;
 };
 
+/// One step of an AccessStream: the next access and its issue time, or
+/// the stream's end.
+struct StreamStep {
+  SimTime at = 0.0;  ///< issue time of the access; the end time when `end`
+  std::uint64_t addr = 0;
+  AccessKind kind = AccessKind::kLwpRow;
+  bool end = false;
+};
+
+/// A closed-loop access stream: its owner issues the next access only
+/// once the previous one has retired.  next() is called first with the
+/// stream's start time, then with each access's completion time, and
+/// returns the next access (at >= done_at) or the end (at >= done_at).
+/// A stream must not touch the simulation: the backend may call it ahead
+/// of the kernel's clock.
+class AccessStream {
+ public:
+  virtual StreamStep next(SimTime done_at) = 0;
+
+ protected:
+  ~AccessStream() = default;  // never owned through the base
+};
+
 /// Abstract memory model.  access() is the seam: it schedules `done(ctx,
 /// a, b)` into `sim` at the (model-dependent) time the access retires.
 /// The default implementation is the analytic model: completion at
@@ -102,20 +127,16 @@ class MemorySystem {
                       des::EventAction::StaticFn done, void* ctx,
                       std::uint64_t a, std::uint64_t b) const;
 
-  /// True when nothing `node` issues can ever wait: no other node reaches
-  /// its bank and no port is shared.  Such a node may retire() its access
-  /// stream synchronously on its own clock instead of through access().
-  [[nodiscard]] virtual bool exclusive(std::size_t node) const {
-    (void)node;
-    return false;
-  }
-
-  /// Retires one access from an exclusive `node`, issued at the caller's
-  /// local time `at` (>= sim.now(), in stream order), without an event:
-  /// updates the statistics access() would and returns the latency.
-  /// Throws LogicError unless exclusive(node).
-  virtual Cycles retire(des::Simulation& sim, std::size_t node,
-                        std::uint64_t addr, AccessKind kind, SimTime at) const;
+  /// Runs a closed-loop access stream from `node`, starting at
+  /// sim.now().  Returns false when the stream has already run to its
+  /// end, with that end time in `end`.  Returns true when the stream was
+  /// deferred: `done(ctx, 0, 0)` is then called later, from an event at
+  /// some time <= `end`, once `end` is set.  Only contended backends
+  /// take streams (callers of the others batch-charge
+  /// zero_load_latency()); the default throws LogicError.
+  virtual bool run_stream(des::Simulation& sim, std::size_t node,
+                          AccessStream& stream, SimTime& end,
+                          des::EventAction::StaticFn done, void* ctx) const;
 
   // Stream statistics (banked backend; the analytic model keeps none).
   [[nodiscard]] virtual std::uint64_t accesses() const { return 0; }
@@ -168,6 +189,30 @@ struct AccessAwaitable {
                             std::uint64_t /*b*/) {
     std::coroutine_handle<>::from_address(ctx).resume();
   }
+};
+
+/// Awaitable handing a closed-loop stream to the seam:
+///
+///   const SimTime end = co_await mem::StreamAwaitable{memory, sim, node,
+///                                                     stream};
+///   co_await des::wait_until(sim, end);
+///
+/// resumes once the stream has run (at or before its end, possibly
+/// without suspending) and yields the end time; the owner then waits for
+/// it on the kernel.
+struct StreamAwaitable {
+  const MemorySystem& memory;
+  des::Simulation& sim;
+  std::size_t node = 0;
+  AccessStream& stream;
+  SimTime end = 0.0;
+
+  [[nodiscard]] bool await_ready() const noexcept { return false; }
+  bool await_suspend(std::coroutine_handle<> h) {
+    return memory.run_stream(sim, node, stream, end,
+                             &AccessAwaitable::resume_handle, h.address());
+  }
+  [[nodiscard]] SimTime await_resume() const noexcept { return end; }
 };
 
 /// Factory over every registered backend.  Unknown kinds throw

@@ -2,13 +2,22 @@
 // (the paper's Section 3 simulation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "arch/host_system.hpp"
 #include "arch/hwp.hpp"
 #include "arch/lwp.hpp"
 #include "arch/params.hpp"
 #include "common/error.hpp"
+#include "des/process.hpp"
 #include "des/simulation.hpp"
 #include "memory/memory_system.hpp"
+#include "obs/metrics.hpp"
 
 namespace pimsim::arch {
 namespace {
@@ -113,55 +122,181 @@ TEST(Lwp, SharedBankContentionSlowsThreadsDown) {
   EXPECT_GT(run_pair(1), 1.2 * run_pair(2));
 }
 
-/// One LWP stream on a banked memory of `nodes` nodes over `banks`
-/// banks, issued from node 0 only.
-struct ContendedRun {
-  double now = 0.0;
-  OpCounts counts;
-  std::uint64_t accesses = 0;
-  double row_hit_rate = 0.0;
-  std::uint64_t dispatches = 0;
-  bool exclusive = false;
+/// Test-side copy of the per-access loop Lwp::run_contended ran before
+/// access streams: the process meets the kernel before every access
+/// (wait_until) and awaits it through the event seam.  The oracle the
+/// stream path must match bit for bit.
+des::Process per_access_loop(des::Simulation& sim,
+                             const mem::MemorySystem& memory,
+                             const SystemParams& params, Rng& rng,
+                             OpCounts& counts, std::size_t node,
+                             std::uint64_t ops) {
+  std::uint64_t addr = static_cast<std::uint64_t>(node) << 32;
+  std::uint64_t remaining = ops;
+  SimTime t = sim.now();
+  while (remaining > 0) {
+    const std::uint64_t compute =
+        std::min(rng.geometric(params.ls_mix), remaining);
+    if (compute > 0) {
+      t += static_cast<double>(compute) * params.tl_cycle;
+      counts.ops += compute;
+      counts.busy_cycles += static_cast<double>(compute) * params.tl_cycle;
+      remaining -= compute;
+    }
+    if (remaining == 0) break;
+    const SimTime start = t;
+    co_await des::wait_until(sim, t);
+    co_await mem::AccessAwaitable{memory, sim, node, addr,
+                                  mem::AccessKind::kLwpRow};
+    t = sim.now();
+    addr += 32;
+    counts.ops += 1;
+    counts.mem_ops += 1;
+    counts.busy_cycles += t - start;
+    remaining -= 1;
+  }
+  co_await des::wait_until(sim, t);
+}
+
+des::Process joined(des::Simulation& sim, des::Process child,
+                    des::CountdownLatch& latch) {
+  co_await des::spawn_join(sim, std::move(child));
+  latch.count_down();
+}
+
+/// `phases` fork/join phases of one `make(node)` process per node, all
+/// started at the phase's first instant (the host system's LWP phases).
+template <class Make>
+des::Process phased(des::Simulation& sim, std::size_t nodes,
+                    std::size_t phases, Make make) {
+  for (std::size_t ph = 0; ph < phases; ++ph) {
+    des::CountdownLatch latch(sim, nodes);
+    for (std::size_t n = 0; n < nodes; ++n) {
+      sim.spawn(joined(sim, make(n), latch));
+    }
+    co_await latch.wait();
+  }
+}
+
+struct StreamCase {
+  std::size_t nodes = 1;
+  std::size_t banks = 0;
+  std::size_t queue = 0;
+  std::size_t phases = 1;
+  /// Label of the bank whose node runs alone (exclusive), or "".  Its
+  /// stream never queues, so the stream path keeps no queue gauge or
+  /// queue-depth records for it; every other statistic still matches.
+  std::string exclusive_bank;
 };
 
-ContendedRun run_node0(std::size_t nodes, std::size_t banks,
-                       std::uint64_t ops) {
+/// Everything a run leaves behind that the two paths must agree on.
+struct ContendedRun {
+  double now = 0.0;
+  std::vector<OpCounts> counts;
+  std::uint64_t accesses = 0;
+  double row_hit_rate = 0.0;
+  std::uint64_t bank_stats = 0;  ///< fingerprint of per-bank row stats
+  std::tuple<double, double, double, double> gauge;  ///< max, area, span, t
+  /// Bank queue-depth counter records: (time, bank label, depth).
+  std::vector<std::tuple<double, std::string, std::uint64_t>> queue_trace;
+  std::uint64_t dispatches = 0;
+};
+
+ContendedRun run_case(const StreamCase& c, bool streams) {
+  constexpr std::uint64_t kOps = 6'000;
+  const SystemParams params = SystemParams::table1();
   mem::MemoryConfig mc;
   mc.kind = "banked";
-  mc.nodes = nodes;
-  mc.banks = banks;
+  mc.nodes = c.nodes;
+  mc.banks = c.banks;
+  mc.queue = c.queue;
   const auto memory = mem::make_memory(mc);
   des::Simulation sim;
   sim.set_audit(true);  // bank conservation on both paths
-  Lwp lwp(sim, SystemParams::table1(), Rng(29, 3), 1000, memory.get(), 0);
-  sim.spawn(lwp.run(ops));
+  sim.set_metrics(true);
+  ContendedRun out;
+  des::Tracer tracer([&](const des::TraceRecord& r) {
+    if (r.kind == des::TraceKind::kCounter) {
+      out.queue_trace.emplace_back(r.time, tracer.label(r.label), r.a);
+    }
+  });
+  sim.set_tracer(&tracer);
+  std::vector<Rng> rngs;
+  std::vector<std::unique_ptr<Lwp>> lwps;
+  out.counts.resize(c.nodes);
+  for (std::size_t n = 0; n < c.nodes; ++n) {
+    rngs.emplace_back(29, n);
+    lwps.push_back(std::make_unique<Lwp>(sim, params, Rng(29, n), 1000,
+                                         memory.get(), n));
+  }
+  if (streams) {
+    sim.spawn(phased(sim, c.nodes, c.phases,
+                     [&](std::size_t n) { return lwps[n]->run(kOps); }));
+  } else {
+    sim.spawn(phased(sim, c.nodes, c.phases, [&](std::size_t n) {
+      return per_access_loop(sim, *memory, params, rngs[n], out.counts[n], n,
+                             kOps);
+    }));
+  }
   sim.run();
-  return {sim.now(),          lwp.counts(),
-          memory->accesses(), memory->row_hit_rate(),
-          sim.events_dispatched(), memory->exclusive(0)};
+  sim.set_tracer(nullptr);
+  if (streams) {
+    for (std::size_t n = 0; n < c.nodes; ++n) out.counts[n] = lwps[n]->counts();
+  }
+  obs::MetricsRegistry bank_stats;
+  memory->collect_metrics(bank_stats);
+  const obs::Gauge& g = sim.metrics().gauge("mem.queued_requests");
+  out.now = sim.now();
+  out.accesses = memory->accesses();
+  out.row_hit_rate = memory->row_hit_rate();
+  out.bank_stats = bank_stats.fingerprint();
+  out.gauge = {g.max(), g.area(), g.span(), g.last_time()};
+  std::erase_if(out.queue_trace, [&c](const auto& rec) {
+    return std::get<1>(rec) == c.exclusive_bank;
+  });
+  out.dispatches = sim.events_dispatched();
+  return out;
 }
 
-TEST(Lwp, ExclusiveBankLookaheadIsBitwiseTheEventPath) {
-  // Case A: node 0's bank is shared with (idle) node 1, so every access
-  // meets the kernel.  Case B: node 0 alone owns its bank, so the stream
-  // retires on the LWP's local clock.  Same Rng, same bits.
-  constexpr std::uint64_t kOps = 20'000;
-  const ContendedRun a = run_node0(/*nodes=*/2, /*banks=*/1, kOps);
-  const ContendedRun b = run_node0(/*nodes=*/1, /*banks=*/0, kOps);
-  ASSERT_FALSE(a.exclusive);
-  ASSERT_TRUE(b.exclusive);
-  EXPECT_EQ(a.now, b.now);
-  EXPECT_EQ(a.counts.ops, kOps);
-  EXPECT_EQ(a.counts.ops, b.counts.ops);
-  EXPECT_EQ(a.counts.mem_ops, b.counts.mem_ops);
-  EXPECT_EQ(a.counts.busy_cycles, b.counts.busy_cycles);
-  EXPECT_EQ(a.accesses, a.counts.mem_ops);
-  EXPECT_EQ(a.accesses, b.accesses);
-  EXPECT_EQ(a.row_hit_rate, b.row_hit_rate);
-  // The event path dispatches at least one event per access; the
-  // exclusive path dispatches the start and the one wake-up at the end.
-  EXPECT_GT(a.dispatches, a.accesses);
-  EXPECT_LE(b.dispatches, 2u);
+TEST(Lwp, StreamPathIsBitwiseThePerAccessLoop) {
+  // {nodes, banks (0: one per node), ports (0: one per bank), phases,
+  //  exclusive bank}
+  const std::vector<std::pair<const char*, StreamCase>> cases = {
+      {"banks=N, one port", {4, 4, 1, 1, ""}},
+      {"banks<N", {4, 2, 0, 1, ""}},
+      {"two ports<banks", {8, 4, 2, 1, ""}},
+      {"N=1 exclusive", {1, 0, 0, 1, "mem.bank0.queue"}},
+      {"mixed group", {3, 2, 0, 1, "mem.bank1.queue"}},
+      {"two phases", {4, 1, 0, 2, ""}},
+  };
+  for (const auto& [name, c] : cases) {
+    SCOPED_TRACE(name);
+    const ContendedRun a = run_case(c, /*streams=*/false);
+    const ContendedRun b = run_case(c, /*streams=*/true);
+    EXPECT_EQ(a.now, b.now);
+    std::uint64_t mem_ops = 0;
+    for (std::size_t n = 0; n < c.nodes; ++n) {
+      EXPECT_EQ(a.counts[n].ops, c.phases * 6'000) << "node " << n;
+      EXPECT_EQ(a.counts[n].ops, b.counts[n].ops) << "node " << n;
+      EXPECT_EQ(a.counts[n].mem_ops, b.counts[n].mem_ops) << "node " << n;
+      EXPECT_EQ(a.counts[n].busy_cycles, b.counts[n].busy_cycles)
+          << "node " << n;
+      mem_ops += a.counts[n].mem_ops;
+    }
+    EXPECT_EQ(a.accesses, mem_ops);
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.row_hit_rate, b.row_hit_rate);
+    EXPECT_EQ(a.bank_stats, b.bank_stats);
+    EXPECT_EQ(a.queue_trace, b.queue_trace);
+    if (c.exclusive_bank.empty()) {
+      EXPECT_EQ(a.gauge, b.gauge);
+      EXPECT_GT(std::get<0>(a.gauge), 1.0);  // something queued
+    }
+    // The per-access loop dispatches at least one event per access; the
+    // stream path a fixed handful per stream and phase.
+    EXPECT_GT(a.dispatches, a.accesses);
+    EXPECT_LE(b.dispatches, c.phases * (6 * c.nodes + 2));
+  }
 }
 
 HostConfig small_config(std::size_t nodes, double pct) {

@@ -2,6 +2,9 @@
 // qualitative shapes on reduced grids.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/design_space.hpp"
 #include "core/experiment.hpp"
 #include "core/figures.hpp"
@@ -72,6 +75,40 @@ TEST(Fig5, GainGrowsWithNodesAndLwpFraction) {
   EXPECT_LT(t.number_at(1, 3), t.number_at(2, 3));
   // Headline scale: %WL=1, N=64 -> ~20x.
   EXPECT_NEAR(t.number_at(2, 3), 64.0 / 3.125, 2.0);
+}
+
+TEST(Fig5, SharedControlIsBitwiseThePerCellSimulatedGain) {
+  // make_fig5 runs the control once per table; every cell must still be
+  // exactly what simulated_gain() returns for it with the seed the sweep
+  // hands a single replication.
+  for (const char* memory : {"analytic", "banked"}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+      HostFigureConfig cfg;
+      cfg.base = fast_base();
+      cfg.base.workload.total_ops = 40'000;
+      cfg.base.batch_ops = 2'000;
+      cfg.base.memory.kind = memory;
+      cfg.base.memory.queue = 1;
+      cfg.node_counts = {1, 4, 16};
+      cfg.lwp_fractions = {0.0, 0.3, 1.0};
+      cfg.sweep_threads = threads;
+      const Table t = make_fig5(cfg);
+      const std::uint64_t seed = replication_seeds(1, cfg.base.seed).front();
+      for (std::size_t pi = 0; pi < cfg.lwp_fractions.size(); ++pi) {
+        for (std::size_t ni = 0; ni < cfg.node_counts.size(); ++ni) {
+          arch::HostConfig cell = cfg.base;
+          cell.workload.lwp_fraction = cfg.lwp_fractions[pi];
+          cell.lwp_nodes = cfg.node_counts[ni];
+          cell.seed = seed;
+          const double gain = arch::simulated_gain(cell);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(t.number_at(pi, 1 + ni)),
+                    std::bit_cast<std::uint64_t>(gain))
+              << memory << " threads=" << threads << " %WL="
+              << cfg.lwp_fractions[pi] << " N=" << cfg.node_counts[ni];
+        }
+      }
+    }
+  }
 }
 
 TEST(Fig6, ResponseTimeShapesMatchPaperAxes) {

@@ -150,6 +150,11 @@ TEST(LintRules, UnguardedTraceFires) {
       lint_source("src/x.cpp",
                   "void h(Sim* sim) { sim->trace(TraceKind::kInstant, lbl); }\n"),
       "unguarded-trace"));
+  // So does the explicit-time form.
+  EXPECT_TRUE(has_rule(
+      lint_source("src/x.cpp",
+                  "void i(Sim& sim) { sim.trace_at(t, TraceKind::kCounter, lbl); }\n"),
+      "unguarded-trace"));
 }
 
 TEST(LintRules, GuardedTraceIsFine) {

@@ -204,81 +204,145 @@ MemoryConfig banked_config(std::size_t nodes, std::size_t banks,
   return mc;
 }
 
-/// exclusive(node) for every node of one configuration.
-std::vector<bool> exclusive_nodes(std::size_t nodes, std::size_t banks,
-                                  std::size_t queue) {
-  const auto memory = make_memory(banked_config(nodes, banks, queue));
-  std::vector<bool> out;
-  for (std::size_t n = 0; n < nodes; ++n) {
-    out.push_back(memory->exclusive(n));
-    EXPECT_EQ(memory->exclusive(n + nodes), out.back()) << "wrapped " << n;
-  }
-  return out;
-}
+/// A fixed closed-loop stream: `count` accesses walking `stride` bytes
+/// from `base`, each issued as the previous one retires.  Records every
+/// completion time it is handed.
+class FixedStream final : public AccessStream {
+ public:
+  FixedStream(std::uint64_t base, std::uint64_t stride, int count)
+      : addr_(base), stride_(stride), left_(count) {}
 
-TEST(Exclusive, TruthTableOverBanksAndPorts) {
-  const std::vector<bool> all(4, true);
-  const std::vector<bool> none(4, false);
-  // banks < nodes: every bank holds two nodes, whatever the ports.
-  EXPECT_EQ(exclusive_nodes(4, 2, 0), none);
-  EXPECT_EQ(exclusive_nodes(4, 2, 2), none);
-  // banks == nodes: private banks; a port per bank is needed.
-  EXPECT_EQ(exclusive_nodes(4, 0, 0), all);  // banks=0: one per node
-  EXPECT_EQ(exclusive_nodes(4, 4, 0), all);
-  EXPECT_EQ(exclusive_nodes(4, 4, 4), all);
-  EXPECT_EQ(exclusive_nodes(4, 4, 9), all);  // clamped to banks
-  EXPECT_EQ(exclusive_nodes(4, 4, 3), none);
-  EXPECT_EQ(exclusive_nodes(4, 4, 1), none);
-  // banks > nodes: four of eight banks in use, so four ports suffice
-  // even though queue < banks.
-  EXPECT_EQ(exclusive_nodes(4, 8, 0), all);
-  EXPECT_EQ(exclusive_nodes(4, 8, 4), all);
-  EXPECT_EQ(exclusive_nodes(4, 8, 3), none);
-  // Uneven grouping: nodes 0 and 1 share bank 0, node 2 owns bank 1.
-  EXPECT_EQ(exclusive_nodes(3, 2, 0), (std::vector<bool>{false, false, true}));
-  EXPECT_EQ(exclusive_nodes(3, 2, 1), (std::vector<bool>{false, false, false}));
-  EXPECT_EQ(exclusive_nodes(1, 0, 1), (std::vector<bool>{true}));
-  // The analytic model has nothing to retire.
-  const auto analytic = make_memory("analytic");
-  EXPECT_FALSE(analytic->exclusive(0));
-  des::Simulation sim;
-  EXPECT_THROW((void)analytic->retire(sim, 0, 0, AccessKind::kLwpRow, 0.0),
-               LogicError);
-}
-
-TEST(Exclusive, RetireKeepsTheStatisticsAccessWould) {
-  // 64 strided accesses retired back to back on node 0's private bank
-  // leave the same counters as the event-driven stream in
-  // StridedStreamKeepsRowsOpen, and cost TML each.
-  const auto memory = make_memory(banked_config(1, 0, 0));
-  des::Simulation sim;
-  sim.set_audit(true);  // bank conservation holds on the retire path
-  SimTime t = 0.0;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const Cycles latency =
-        memory->retire(sim, 0, 32 * i, AccessKind::kLwpRow, t);
-    EXPECT_EQ(latency, kTml);
-    t += latency;
+  StreamStep next(SimTime done_at) override {
+    if (started_) {
+      completions.push_back(done_at);
+      addr_ += stride_;
+    }
+    started_ = true;
+    if (left_ == 0) return StreamStep{.at = done_at, .end = true};
+    --left_;
+    return StreamStep{.at = done_at, .addr = addr_};
   }
-  EXPECT_EQ(memory->accesses(), 64u);
-  EXPECT_DOUBLE_EQ(memory->row_hit_rate(), 56.0 / 64.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 0.0);  // no event was scheduled
-  EXPECT_EQ(sim.events_dispatched(), 0u);
-  // A shared bank has no retire path.
-  const auto shared = make_memory(banked_config(2, 1, 0));
-  EXPECT_THROW((void)shared->retire(sim, 0, 0, AccessKind::kLwpRow, 0.0),
-               LogicError);
-}
+
+  std::vector<SimTime> completions;
+
+ private:
+  std::uint64_t addr_;
+  std::uint64_t stride_;
+  int left_;
+  bool started_ = false;
+};
+
+/// A stream whose second access is issued before its first retires.
+class BackwardStream final : public AccessStream {
+ public:
+  StreamStep next(SimTime done_at) override {
+    return StreamStep{.at = steps_++ == 0 ? done_at : done_at - 1.0};
+  }
+
+ private:
+  int steps_ = 0;
+};
 
 void ignore_completion(void* /*ctx*/, std::uint64_t /*a*/,
                        std::uint64_t /*b*/) {}
 
-TEST(Exclusive, AccessIntoAReservedBankThrows) {
-  // An access retired at t=0 holds its bank until TML; an event-path
-  // access landing before that would overlap it.
+/// Whether a one-access stream from each node ran inline (its bank is
+/// exclusive) on a fresh memory of one configuration.
+std::vector<bool> inline_nodes(std::size_t nodes, std::size_t banks,
+                               std::size_t queue) {
+  std::vector<bool> out;
+  for (std::size_t n = 0; n < 2 * nodes; ++n) {
+    const auto memory = make_memory(banked_config(nodes, banks, queue));
+    des::Simulation sim;
+    FixedStream stream(0, 32, 1);
+    SimTime end = -1.0;
+    const bool deferred = memory->run_stream(sim, n, stream, end,
+                                             &ignore_completion, nullptr);
+    sim.run();
+    EXPECT_EQ(end, kTml) << "node " << n;
+    if (n < nodes) {
+      out.push_back(!deferred);
+    } else {
+      EXPECT_EQ(!deferred, out[n - nodes]) << "wrapped " << n;
+    }
+  }
+  return out;
+}
+
+TEST(Streams, ExclusiveTruthTableOverBanksAndPorts) {
+  const std::vector<bool> all(4, true);
+  const std::vector<bool> none(4, false);
+  // banks < nodes: every bank holds two nodes, whatever the ports.
+  EXPECT_EQ(inline_nodes(4, 2, 0), none);
+  EXPECT_EQ(inline_nodes(4, 2, 2), none);
+  // banks == nodes: private banks; a port per bank is needed.
+  EXPECT_EQ(inline_nodes(4, 0, 0), all);  // banks=0: one per node
+  EXPECT_EQ(inline_nodes(4, 4, 0), all);
+  EXPECT_EQ(inline_nodes(4, 4, 4), all);
+  EXPECT_EQ(inline_nodes(4, 4, 9), all);  // clamped to banks
+  EXPECT_EQ(inline_nodes(4, 4, 3), none);
+  EXPECT_EQ(inline_nodes(4, 4, 1), none);
+  // banks > nodes: four of eight banks in use, so four ports suffice
+  // even though queue < banks.
+  EXPECT_EQ(inline_nodes(4, 8, 0), all);
+  EXPECT_EQ(inline_nodes(4, 8, 4), all);
+  EXPECT_EQ(inline_nodes(4, 8, 3), none);
+  // Uneven grouping: nodes 0 and 1 share bank 0, node 2 owns bank 1.
+  EXPECT_EQ(inline_nodes(3, 2, 0), (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(inline_nodes(3, 2, 1), (std::vector<bool>{false, false, false}));
+  EXPECT_EQ(inline_nodes(1, 0, 1), (std::vector<bool>{true}));
+}
+
+TEST(Streams, AnalyticHasNoStreams) {
+  // The analytic model never queues; its callers batch-charge instead.
+  const auto analytic = make_memory("analytic");
+  des::Simulation sim;
+  FixedStream stream(0, 32, 1);
+  SimTime end = -1.0;
+  EXPECT_THROW((void)analytic->run_stream(sim, 0, stream, end,
+                                          &ignore_completion, nullptr),
+               LogicError);
+}
+
+TEST(Streams, ExclusiveStreamKeepsTheStatisticsAccessWould) {
+  // 64 strided accesses back to back on node 0's private bank leave the
+  // same counters as the event-driven stream in
+  // StridedStreamKeepsRowsOpen, and cost TML each, with no event.
   const auto memory = make_memory(banked_config(1, 0, 0));
   des::Simulation sim;
-  (void)memory->retire(sim, 0, 0, AccessKind::kLwpRow, 0.0);
+  sim.set_audit(true);  // bank conservation holds on the inline path
+  FixedStream stream(0, 32, 64);
+  SimTime end = -1.0;
+  EXPECT_FALSE(memory->run_stream(sim, 0, stream, end, &ignore_completion,
+                                  nullptr));
+  EXPECT_EQ(end, 64 * kTml);
+  ASSERT_EQ(stream.completions.size(), 64u);
+  for (std::size_t i = 0; i < 64; ++i) {
+    EXPECT_EQ(stream.completions[i], static_cast<double>(i + 1) * kTml);
+  }
+  EXPECT_EQ(memory->accesses(), 64u);
+  EXPECT_DOUBLE_EQ(memory->row_hit_rate(), 56.0 / 64.0);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+  EXPECT_EQ(sim.events_dispatched(), 0u);
+  // On a shared bank the stream is deferred to its instant's group.
+  const auto shared = make_memory(banked_config(2, 1, 0));
+  FixedStream deferred(0, 32, 1);
+  EXPECT_TRUE(shared->run_stream(sim, 0, deferred, end, &ignore_completion,
+                                 nullptr));
+  EXPECT_EQ(shared->accesses(), 0u);
+  sim.run();
+  EXPECT_EQ(shared->accesses(), 1u);
+}
+
+TEST(Streams, AccessIntoAReservedBankThrows) {
+  // An exclusive stream's access at t=0 holds its bank until TML; an
+  // event-path access landing before that would overlap it.
+  const auto memory = make_memory(banked_config(1, 0, 0));
+  des::Simulation sim;
+  FixedStream stream(0, 32, 1);
+  SimTime end = -1.0;
+  ASSERT_FALSE(memory->run_stream(sim, 0, stream, end, &ignore_completion,
+                                  nullptr));
   EXPECT_THROW(memory->access(sim, 0, 32, AccessKind::kLwpRow, false,
                               &ignore_completion, nullptr, 0, 0),
                LogicError);
@@ -293,20 +357,106 @@ TEST(Exclusive, AccessIntoAReservedBankThrows) {
   EXPECT_DOUBLE_EQ(sim.now(), 2 * kTml);
 }
 
-TEST(Exclusive, RetireOnABusyBankThrows) {
+TEST(Streams, ExclusiveStreamOnABusyBankThrows) {
   const auto memory = make_memory(banked_config(1, 0, 0));
   des::Simulation sim;
   memory->access(sim, 0, 0, AccessKind::kLwpRow, false, &ignore_completion,
                  nullptr, 0, 0);  // in service until TML
-  EXPECT_THROW((void)memory->retire(sim, 0, 32, AccessKind::kLwpRow, 0.0),
+  FixedStream stream(32, 32, 1);
+  SimTime end = -1.0;
+  EXPECT_THROW((void)memory->run_stream(sim, 0, stream, end,
+                                        &ignore_completion, nullptr),
                LogicError);
   sim.run();
-  // Retiring out of stream order (before the last retired access ends)
-  // is rejected too.
-  (void)memory->retire(sim, 0, 32, AccessKind::kLwpRow, sim.now());
-  EXPECT_THROW(
-      (void)memory->retire(sim, 0, 64, AccessKind::kLwpRow, sim.now()),
-      LogicError);
+  // A stream that issues before its last access retired is rejected, on
+  // an exclusive bank and in a group alike.
+  BackwardStream backward;
+  EXPECT_THROW((void)memory->run_stream(sim, 0, backward, end,
+                                        &ignore_completion, nullptr),
+               LogicError);
+  const auto shared = make_memory(banked_config(2, 1, 0));
+  des::Simulation sim2;
+  BackwardStream backward2;
+  ASSERT_TRUE(shared->run_stream(sim2, 0, backward2, end, &ignore_completion,
+                                 nullptr));
+  EXPECT_THROW(sim2.run(), LogicError);
+}
+
+/// Counts owner hand-backs; `ctx` is the counter.
+void count_completion(void* ctx, std::uint64_t /*a*/, std::uint64_t /*b*/) {
+  ++*static_cast<int*>(ctx);
+}
+
+TEST(Streams, GroupOwnsTheMemoryUntilItsLastStreamEnds) {
+  // Two streams on one shared bank form a group at t=0.  From their
+  // registration until the later one ends, neither access() nor a new
+  // stream may touch the memory; at that end both may again.
+  const auto memory = make_memory(banked_config(2, 1, 0));
+  des::Simulation sim;
+  FixedStream first(0, 32, 2);
+  FixedStream second(std::uint64_t{1} << 32, 32, 2);
+  SimTime end_first = -1.0;
+  SimTime end_second = -1.0;
+  int handed_back = 0;
+  ASSERT_TRUE(memory->run_stream(sim, 0, first, end_first, &count_completion,
+                                 &handed_back));
+  ASSERT_TRUE(memory->run_stream(sim, 1, second, end_second,
+                                 &count_completion, &handed_back));
+  // Pending: the group has not run yet.
+  EXPECT_THROW(memory->access(sim, 0, 0, AccessKind::kLwpRow, false,
+                              &ignore_completion, nullptr, 0, 0),
+               LogicError);
+  ASSERT_TRUE(sim.step());  // the group's one static call
+  EXPECT_EQ(handed_back, 2);
+  EXPECT_DOUBLE_EQ(sim.now(), 0.0);
+  // FIFO on one bank: first, second, first, second.
+  EXPECT_EQ(first.completions, (std::vector<SimTime>{kTml, 3 * kTml}));
+  EXPECT_EQ(second.completions, (std::vector<SimTime>{2 * kTml, 4 * kTml}));
+  EXPECT_EQ(end_first, 3 * kTml);
+  EXPECT_EQ(end_second, 4 * kTml);
+  EXPECT_EQ(memory->accesses(), 4u);
+  EXPECT_FALSE(sim.step());  // nothing else was scheduled
+  // Running: owned until 4 * TML.
+  (void)test::no_op_at(sim, 4 * kTml - 1.0);
+  sim.run();
+  EXPECT_THROW(memory->access(sim, 0, 0, AccessKind::kLwpRow, false,
+                              &ignore_completion, nullptr, 0, 0),
+               LogicError);
+  FixedStream late(0, 32, 1);
+  SimTime end_late = -1.0;
+  EXPECT_THROW((void)memory->run_stream(sim, 1, late, end_late,
+                                        &ignore_completion, nullptr),
+               LogicError);
+  (void)test::no_op_at(sim, 4 * kTml);
+  sim.run();
+  EXPECT_TRUE(memory->run_stream(sim, 1, late, end_late, &ignore_completion,
+                                 nullptr));
+  sim.run();
+  EXPECT_EQ(end_late, 5 * kTml);
+  (void)test::no_op_at(sim, end_late);  // the owner's wait for its end
+  sim.run();
+  memory->access(sim, 0, 0, AccessKind::kLwpRow, false, &ignore_completion,
+                 nullptr, 0, 0);
+  sim.run();
+  EXPECT_EQ(memory->accesses(), 6u);
+}
+
+TEST(Streams, StreamWhileAccessesAreInFlightThrows) {
+  // A group would run ahead of the kernel past a queued access() request.
+  const auto memory = make_memory(banked_config(2, 1, 0));
+  des::Simulation sim;
+  memory->access(sim, 0, 0, AccessKind::kLwpRow, false, &ignore_completion,
+                 nullptr, 0, 0);
+  FixedStream stream(0, 32, 1);
+  SimTime end = -1.0;
+  EXPECT_THROW((void)memory->run_stream(sim, 1, stream, end,
+                                        &ignore_completion, nullptr),
+               LogicError);
+  sim.run();
+  EXPECT_TRUE(memory->run_stream(sim, 1, stream, end, &ignore_completion,
+                                 nullptr));
+  sim.run();
+  EXPECT_EQ(end, 2 * kTml);
 }
 
 TEST(MemorySeam, AnalyticDefaultBitwiseEqualsExplicitAnalytic) {

@@ -8,6 +8,7 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -199,6 +200,42 @@ const std::vector<double> kGeometricPs = {1e-6, 1e-3, 0.02, 0.1, 0.3,
 // After the same number of draws, twin engines give the same next words.
 void expect_aligned(Xoshiro256pp& a, Xoshiro256pp& b) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(a(), b());
+}
+
+TEST(BinomialDraw, MatchesAFreshDistributionWordForWord) {
+  // libstdc++ draws with a waiting-time loop when n * p < 8 and by
+  // rejection otherwise, and as n - B(n, 1 - p) when p > 0.5; the grid
+  // covers all three.  Past it, 200 more keys than the cache has slots,
+  // cycled three times, so keys share slots and evict each other.
+  std::vector<std::pair<std::uint64_t, double>> keys;
+  for (const std::uint64_t n : {3, 20, 240, 800, 10'000}) {
+    for (const double p : {0.01, 0.1, 0.3, 0.7, 0.97}) keys.emplace_back(n, p);
+  }
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    keys.emplace_back(100 + i, i % 2 == 0 ? 0.3 : 0.05);
+  }
+  Xoshiro256pp a(0xb1a5), b(0xb1a5);
+  std::uint64_t mismatches = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [n, p] : keys) {
+      for (int draw = 0; draw < 3; ++draw) {
+        std::binomial_distribution<std::uint64_t> fresh(n, p);
+        mismatches += binomial_draw(n, p, a) != fresh(b);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  expect_aligned(a, b);
+}
+
+TEST(BinomialDraw, EdgeCasesReturnWithoutAWord) {
+  Xoshiro256pp a(0xed9e), b(0xed9e);
+  EXPECT_EQ(binomial_draw(0, 0.5, a), 0u);
+  EXPECT_EQ(binomial_draw(100, 0.0, a), 0u);
+  EXPECT_EQ(binomial_draw(100, 1.0, a), 100u);
+  EXPECT_THROW((void)binomial_draw(10, 1.5, a), ConfigError);
+  EXPECT_THROW((void)binomial_draw(10, -0.1, a), ConfigError);
+  expect_aligned(a, b);
 }
 
 TEST(GeometricTable, MatchesExplicitFormula) {
