@@ -425,12 +425,10 @@ int main(int argc, char** argv) {
       }
       cells.push_back(std::move(cell));
     }
-    if (json_path != "-") {
-      const std::string header = "\"events_per_run\": " +
-                                 std::to_string(events) +
-                                 ", \"reps\": " + std::to_string(reps) + ",";
-      bench::write_bench_json(json_path, "engine", "events", header, cells);
-    }
+    const std::string header = "\"events_per_run\": " +
+                               std::to_string(events) +
+                               ", \"reps\": " + std::to_string(reps) + ",";
+    bench::write_bench_json(json_path, "engine", "events", header, cells);
     if (!floors_path.empty()) {
       return bench::check_floors(floors_path, "engine", cells);
     }

@@ -214,15 +214,13 @@ int main(int argc, char** argv) {
       }
       cells.push_back(std::move(out));
     }
-    if (json_path != "-") {
-      const std::string header =
-          "\"nodes\": " + std::to_string(p.nodes) +
-          ", \"packets_per_node\": " + std::to_string(p.packets) +
-          ", \"bytes\": " + std::to_string(p.bytes) +
-          ", \"reps\": " + std::to_string(reps) + ",";
-      bench::write_bench_json(json_path, "interconnect", "flit_hops", header,
-                              cells);
-    }
+    const std::string header =
+        "\"nodes\": " + std::to_string(p.nodes) +
+        ", \"packets_per_node\": " + std::to_string(p.packets) +
+        ", \"bytes\": " + std::to_string(p.bytes) +
+        ", \"reps\": " + std::to_string(reps) + ",";
+    bench::write_bench_json(json_path, "interconnect", "flit_hops", header,
+                            cells);
     if (!floors_path.empty()) {
       return bench::check_floors(floors_path, "interconnect", cells);
     }

@@ -173,13 +173,11 @@ int main(int argc, char** argv) {
       table.print(std::cout);
     }
 
-    if (json_path != "-") {
-      const std::string header =
-          "\"nodes\": " + std::to_string(p.nodes) +
-          ", \"accesses_per_node\": " + std::to_string(p.accesses) +
-          ", \"reps\": " + std::to_string(reps) + ",";
-      bench::write_bench_json(json_path, "memory", "accesses", header, cells);
-    }
+    const std::string header =
+        "\"nodes\": " + std::to_string(p.nodes) +
+        ", \"accesses_per_node\": " + std::to_string(p.accesses) +
+        ", \"reps\": " + std::to_string(reps) + ",";
+    bench::write_bench_json(json_path, "memory", "accesses", header, cells);
     if (!floors_path.empty()) {
       return bench::check_floors(floors_path, "memory", cells);
     }

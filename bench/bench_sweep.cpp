@@ -21,6 +21,7 @@
 // Usage: bench_sweep [csv=1] [threads=1,2,4,8] [horizon=20000]
 //                    [latency=200] [premote=0.1] [seed=1]
 //                    [pimsim=PATH dir=DIR] [json=PATH] [floors=PATH]
+//                    (json=- or no json key: no trajectory file)
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -229,10 +230,8 @@ int main(int argc, char** argv) {
 
     bench::emit(result, cfg);
 
-    const std::string json = cfg.get_string("json", "");
-    if (!json.empty()) {
-      bench::write_bench_json(json, "sweep", "points", "", cells);
-    }
+    bench::write_bench_json(cfg.get_string("json", "-"), "sweep", "points",
+                            "", cells);
     int regressions = 0;
     const std::string floors = cfg.get_string("floors", "");
     if (!floors.empty()) {

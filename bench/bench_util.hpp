@@ -42,12 +42,14 @@ struct BenchCell {
 /// Writes the shared BENCH_*.json shape: a "cells" array of
 /// {"name", "best_<unit>_per_sec", "trajectory": [...]} entries.
 /// `header` is spliced verbatim after the bench name (extra scalar
-/// fields, e.g. "\"nodes\": 64,"); may be empty.
+/// fields, e.g. "\"nodes\": 64,"); may be empty.  A `path` of "-"
+/// writes nothing (every bench's `json=-`).
 inline void write_bench_json(const std::string& path,
                              const std::string& bench,
                              const std::string& unit,
                              const std::string& header,
                              const std::vector<BenchCell>& cells) {
+  if (path == "-") return;
   std::ofstream out(path);
   require(out.good(), "bench: cannot open json output '" + path + "'");
   out << "{\n  \"bench\": \"" << bench << "\",\n";

@@ -1,7 +1,6 @@
 #include "interconnect/network.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -79,18 +78,6 @@ PacketNetwork::PacketNetwork(des::Simulation& sim, Topology topology,
   links_.resize(topo_.links().size());
   for (LinkState& link : links_) {
     link.credits = static_cast<std::int64_t>(cfg_.credits);
-  }
-  // Elision margin: a deferred ejection release matures link_latency
-  // after its flit leaves the wire; until then the serializer can pop at
-  // most ceil(link_latency / flit_cycle) more flits.  One credit beyond
-  // that and no pop through the maturity instant can be decided by the
-  // release's visibility — in the original cascade a release landing on
-  // the same cycle as a pop became visible only after it, so the margin
-  // must make that pop succeed without it.  A strictly positive
-  // link_latency keeps maturities out of the current timestep.
-  if (cfg_.flit_cycle > 0.0 && cfg_.link_latency > 0.0) {
-    elide_need_ = static_cast<std::uint32_t>(
-        std::ceil(cfg_.link_latency / cfg_.flit_cycle)) + 1;
   }
   // Lazily appended arrivals need a strictly positive wire latency (a
   // zero-latency arrival lands in the current timestep, i.e. must be a
@@ -206,12 +193,6 @@ void PacketNetwork::on_event(void* self, std::uint64_t a, std::uint64_t b) {
   auto* net = static_cast<PacketNetwork*>(self);
   const auto link = static_cast<std::uint32_t>((a >> 8) & 0xffffffu);
   switch (static_cast<Ev>(a & 0xffu)) {
-    case Ev::kStart:
-      net->on_start(link);
-      return;
-    case Ev::kGrant:
-      net->on_grant(link);
-      return;
     case Ev::kAdvance:
       net->on_advance(link);
       return;
@@ -266,63 +247,32 @@ void PacketNetwork::push_run(LinkState& link, double first, double stride,
 }
 
 void PacketNetwork::fold_ledger(LinkState& link, double t) {
-  // The ledger holds only deferred credit returns.  In wormhole mode a
-  // blocked serializer is woken by a credit-wake event armed for the
-  // maturity cycle, so folding just banks matured credits (bulk per run:
-  // the occupancy decrement lands at the fold time, a shade late, which
-  // only smooths the mean-occupancy diagnostic).  In flit-interleaved
-  // mode the elision margin guarantees the link can never be starving
-  // while a return is pending, and each return is replayed at its exact
-  // cycle to keep the occupancy accumulator bit-identical to the
-  // pre-rewrite engine's.  Most folds find nothing due (the ledger is
-  // empty or its earliest return is still ahead), and the cached
-  // ledger_due answers that without touching the runs.
+  // The ledger holds only deferred credit returns.  A blocked serializer
+  // is woken by a credit-wake event armed for the maturity cycle, so
+  // folding just banks matured credits (bulk per run: the occupancy
+  // decrement lands at the fold time, a shade late, which only smooths
+  // the mean-occupancy diagnostic).  Most folds find nothing due (the
+  // ledger is empty or its earliest return is still ahead), and the
+  // cached ledger_due answers that without touching the runs.
   if (t < link.ledger_due) return;
-  if (cfg_.wormhole) {
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < link.ledger.size(); ++i) {
-      OpRun& run = link.ledger[i];
-      // Advance iteratively so maturity times stay bit-identical with the
-      // times a credit-wake was armed against (no recomputed products).
-      std::uint32_t due = 0;
-      while (run.left > 0 && run.first <= t) {
-        ++due;
-        --run.left;
-        run.first += run.stride;
-      }
-      if (due > 0) {
-        link.credits += due;
-        link.occupancy.add(t, -static_cast<double>(due));
-      }
-      if (run.left > 0) link.ledger[keep++] = run;
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < link.ledger.size(); ++i) {
+    OpRun& run = link.ledger[i];
+    // Advance iteratively so maturity times stay bit-identical with the
+    // times a credit-wake was armed against (no recomputed products).
+    std::uint32_t due = 0;
+    while (run.left > 0 && run.first <= t) {
+      ++due;
+      --run.left;
+      run.first += run.stride;
     }
-    link.ledger.resize(keep);
-    refresh_ledger_due(link);
-    return;
+    if (due > 0) {
+      link.credits += due;
+      link.occupancy.add(t, -static_cast<double>(due));
+    }
+    if (run.left > 0) link.ledger[keep++] = run;
   }
-  while (!link.ledger.empty()) {
-    // Earliest op across pending runs; a linear scan over the handful of
-    // active runs beats any ordering structure.
-    std::size_t best = link.ledger.size();
-    for (std::size_t i = 0; i < link.ledger.size(); ++i) {
-      const OpRun& run = link.ledger[i];
-      if (run.first > t) continue;
-      if (best == link.ledger.size() || run.first < link.ledger[best].first) {
-        best = i;
-      }
-    }
-    if (best == link.ledger.size()) break;
-    OpRun& run = link.ledger[best];
-    ensure(link.phase != Phase::kBlocked,
-           "PacketNetwork: deferred credit release on a blocked link");
-    link.occupancy.add(run.first, -1.0);
-    ++link.credits;
-    run.first += run.stride;
-    if (--run.left == 0) {
-      link.ledger.erase(link.ledger.begin() +
-                        static_cast<std::ptrdiff_t>(best));
-    }
-  }
+  link.ledger.resize(keep);
   refresh_ledger_due(link);
 }
 
@@ -344,14 +294,7 @@ void PacketNetwork::release_credit(std::uint32_t li) {
     // release instant (occupancy never dips).
     link.occupancy.add(sim_.now(), 1.0);
     trace_occupancy(li);
-    if (cfg_.wormhole) {
-      // Restart the wire directly; the lane hop below only exists to
-      // reproduce the legacy engine's resume positions.
-      begin(li);
-      return;
-    }
-    link.phase = Phase::kGranted;
-    schedule_ev(sim_.now(), Ev::kGrant, li, 0);
+    begin(li);
   } else {
     ++link.credits;
   }
@@ -411,19 +354,12 @@ void PacketNetwork::arm_wake(std::uint32_t li, double ready,
 
 void PacketNetwork::poke(std::uint32_t li) {
   LinkState& link = links_[li];
-  if (link.phase != Phase::kIdle || link.start_pending) return;
+  if (link.phase != Phase::kIdle) return;
   SegRing* ring = fifo_front(link);
   if (ring == nullptr) return;
   const Segment& front = ring->front();
   if (front.ready <= sim_.now()) {
-    if (cfg_.wormhole) {
-      // Begin synchronously; the lane hop only reproduces the legacy
-      // engine's mailbox-resume positions.
-      try_begin(li);
-      return;
-    }
-    link.start_pending = true;
-    schedule_ev(sim_.now(), Ev::kStart, li, 0);
+    try_begin(li);
   } else {
     arm_wake(li, front.ready, front.key);
   }
@@ -432,19 +368,6 @@ void PacketNetwork::poke(std::uint32_t li) {
 void PacketNetwork::on_wake(std::uint32_t li) {
   links_[li].wake_armed = false;
   poke(li);
-}
-
-void PacketNetwork::on_start(std::uint32_t li) {
-  LinkState& link = links_[li];
-  link.start_pending = false;
-  ensure(link.phase == Phase::kIdle, "PacketNetwork: start on a busy link");
-  try_begin(li);
-}
-
-void PacketNetwork::on_grant(std::uint32_t li) {
-  LinkState& link = links_[li];
-  ensure(link.phase == Phase::kGranted, "PacketNetwork: grant lost its flit");
-  begin(li);
 }
 
 void PacketNetwork::begin(std::uint32_t li) {
@@ -470,8 +393,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
   const std::uint32_t from = front.from_link;
   // Trains assume pure wire delay between hops; a router_latency keeps
   // the (rarely used) per-flit switch-delay path authoritative.
-  if (cfg_.wormhole && cfg_.router_latency <= 0.0 && link.credits >= 2 &&
-      front.count >= 2) {
+  if (cfg_.router_latency <= 0.0 && link.credits >= 2 && front.count >= 2) {
     // Wormhole fast path: the head packet owns the wire for a whole run.
     // Every flit of a segment is streamable (ready + i * stride never
     // trails the wire at one start per flit_cycle), so the train length
@@ -479,7 +401,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
     const auto flits = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(front.count,
                                 static_cast<std::uint64_t>(link.credits)));
-    run_train(li, ring, flits, sim_.now());
+    run_train(li, ring, flits);
     return;
   }
 
@@ -494,7 +416,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
   link.cur_from = from;
   if (link.credits == 0) {
     link.phase = Phase::kBlocked;
-    if (cfg_.wormhole) arm_credit_wake(li);
+    arm_credit_wake(li);
     return;
   }
   --link.credits;
@@ -503,23 +425,20 @@ void PacketNetwork::try_begin(std::uint32_t li) {
   begin(li);
 }
 
-// --- flit-train coalescing (wormhole mode) -------------------------------
+// --- flit-train coalescing -----------------------------------------------
 //
 // The head packet owns the wire for `flits` consecutive flit_cycles from
-// `start` (now, or the head flit's future arrival when a whole in-flight
-// stream is committed onto an idle link); one calendar event ends the
-// whole train.  The per-flit side effects — buffer occupancy, credit
-// returns to this link (ejection) and to the upstream link — are pushed
-// onto the links' ledgers and replayed when next observed; downstream
-// arrivals leave as a single streaming segment committed onto the next
-// idle hop the same way, so an uncontended traversal costs O(hops)
-// calendar events, not O(hops x flits).
+// now; one calendar event ends the whole train.  The per-flit side
+// effects — buffer occupancy, credit returns to this link (ejection) and
+// to the upstream link — are pushed onto the links' ledgers and replayed
+// when next observed; downstream arrivals leave as a single streaming
+// segment committed onto the next idle hop the same way, so an
+// uncontended traversal costs O(hops) calendar events, not
+// O(hops x flits).
 void PacketNetwork::run_train(std::uint32_t li, SegRing* ring,
-                              std::uint32_t flits, double start) {
-  // `start` is sim_.now() today; the retroactive busy accounting below
-  // keeps the door open for committing future trains without touching
-  // the stats path.
+                              std::uint32_t flits) {
   LinkState& link = links_[li];
+  const double start = sim_.now();
   const double fc = cfg_.flit_cycle;
   Segment& front = ring->front();
   const Handle packet = front.packet;
@@ -536,8 +455,8 @@ void PacketNetwork::run_train(std::uint32_t li, SegRing* ring,
   // read a shade high mid-train but never exceed the buffer capacity:
   // every debit is backed by an available credit.  The wire-busy window
   // [start, start + flits * fc) is accounted retroactively by the train's
-  // advance event, keeping the accumulator's clock monotonic even when
-  // `start` is in the future.
+  // advance event, so a stats read while the train is on the wire does
+  // not count it yet.
   link.credits -= flits;
   link.occupancy.add(sim_.now(), static_cast<double>(flits));
   trace_occupancy(li);
@@ -638,13 +557,11 @@ void PacketNetwork::deliver_flit(std::uint32_t li) {
     // positions).
     const bool final_flit = p.ejected + 1 == p.flits;
     ++p.ejected;
-    if (!final_flit &&
-        (cfg_.wormhole ||
-         link.credits >= static_cast<std::int64_t>(elide_need_))) {
+    if (!final_flit) {
       // Non-final ejecting flit: its only future effect is returning this
-      // link's buffer slot at the NIC, one link_latency out.  With the
-      // elision margin in hand the serializer provably cannot starve
-      // before the return matures, so it is ledgered — no calendar event.
+      // link's buffer slot at the NIC, one link_latency out, so it is
+      // ledgered — no calendar event.  Should the serializer block on
+      // credits first, the return's credit wake restarts it.
       push_run(link, sim_.now() + cfg_.link_latency, 0.0, 1);
       return;
     }
@@ -673,7 +590,7 @@ void PacketNetwork::append_net(std::uint32_t li, Handle packet, double ready,
                                double stride, std::uint32_t count,
                                std::uint32_t from) {
   SegRing& net = links_[li].net;
-  if (cfg_.wormhole && !net.empty()) {
+  if (!net.empty()) {
     // Glue a continuation of the tail packet's stream back together so a
     // train split upstream (by credit pressure) can still coalesce here.
     Segment& tail = net.back();

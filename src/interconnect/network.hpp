@@ -22,29 +22,23 @@
 //    real arrival event is scheduled only when that serializer is parked,
 //    and then at exactly the calendar position the eager event would have
 //    held.
-//  * Flit-train coalescing (wormhole mode, the default): when a link's
-//    queue head is a run of consecutive flits of one packet and credits
-//    cover the run, a single event advances the whole train by
-//    n * flit_cycle, and the train's arrivals leave as one streaming
-//    segment the next hop serves as a train of its own — an uncontended
-//    traversal costs O(hops) events, not O(hops x flits).  Per-flit
+//  * Flit-train coalescing: when a link's queue head is a run of
+//    consecutive flits of one packet and credits cover the run, a single
+//    event advances the whole train by n * flit_cycle, and the train's
+//    arrivals leave as one streaming segment the next hop serves as a
+//    train of its own — an uncontended traversal costs O(hops) events,
+//    not O(hops x flits).  Per-flit
 //    credit returns are replayed cycle-exactly from a per-link ledger
 //    (blocked serializers arm a wake-up for the next return's maturity
 //    cycle), so backpressure timing is unchanged.
 //
-// Arbitration granularity is PacketConfig::wormhole: the default keeps a
-// packet on the wire for its whole queued run; wormhole = false makes
-// every flit arbitrate individually and replays the retired coroutine
-// engine's event cascade sequence-exactly — bit-identical per-packet
-// delivery times, pinned by tests/test_interconnect_golden.cpp against
-// recordings of the pre-rewrite implementation.  The modes agree exactly
-// wherever no two packets contend for a link in the same cycle (zero
-// load in particular) and always carry identical flit-hop totals.
+// Per-packet delivery times are pinned by tests/test_interconnect_golden.cpp
+// against a recording of this engine, and zero-load timing against the
+// closed form in packet.hpp.
 //
-// The model is deterministic in both modes: routing is table-driven, all
-// queues are FIFO, and the event kernel dispatches same-time events in
-// scheduling order, so repeated runs of the same traffic are
-// bit-identical.
+// The model is deterministic: routing is table-driven, all queues are
+// FIFO, and the event kernel dispatches same-time events in scheduling
+// order, so repeated runs of the same traffic are bit-identical.
 //
 // Known limitation (documented, acceptable for the ablation studies): no
 // virtual channels/datelines, so the wrap cycles of ring/torus topologies
@@ -192,7 +186,6 @@ class PacketNetwork {
     kIdle,         ///< wire free, no staged flit
     kSerializing,  ///< a flit (or train) is crossing; an advance is scheduled
     kBlocked,      ///< head flit staged, waiting for a downstream credit
-    kGranted,      ///< credit granted; begin event pending in the lane
   };
 
   struct LinkState {
@@ -204,7 +197,6 @@ class PacketNetwork {
     double ledger_due = std::numeric_limits<double>::infinity();
     std::int64_t credits = 0;   ///< folded available downstream credits
     Phase phase = Phase::kIdle;
-    bool start_pending = false;  ///< a begin event sits in the lane
     bool wake_armed = false;     ///< a keyed wake-up is scheduled
     bool credit_wake_armed = false;  ///< wake for a deferred credit return
     bool train_active = false;   ///< current advance covers a whole train
@@ -221,23 +213,19 @@ class PacketNetwork {
   // "lane": scheduled at now(), the kernel's immediate lane; "timed": a
   // future time, the kernel's timing wheel (or its heap when far ahead).
   enum class Ev : std::uint64_t {
-    kStart,    ///< lane: begin serialization after an enqueue wake-up
-    kGrant,    ///< lane: begin serialization after a credit grant
     kAdvance,  ///< timed: serialization end of the current flit/train
     kArrive,   ///< timed: flit lands at the downstream router
     kFwd,      ///< timed: router-latency-delayed enqueue on the next link
     kLocal,    ///< lane: src == dst local delivery
     kWake,     ///< timed, keyed: wake-up for a lazily appended arrival
     kCreditWake,  ///< timed: a ledgered credit return matures for a
-                  ///< blocked serializer (wormhole mode)
+                  ///< blocked serializer
     kComplete,    ///< timed: delivery of a train's final ejected flit
   };
   static void on_event(void* self, std::uint64_t a, std::uint64_t b);
   void schedule_ev(SimTime at, Ev ev, std::uint32_t link, Handle packet);
 
   // --- engine -----------------------------------------------------------
-  void on_start(std::uint32_t link);
-  void on_grant(std::uint32_t link);
   void on_advance(std::uint32_t link);
   void on_arrive(std::uint32_t link, Handle handle, bool final_flit);
   void on_fwd(std::uint32_t link, Handle handle, std::uint32_t from);
@@ -258,8 +246,7 @@ class PacketNetwork {
   void poke(std::uint32_t link);  ///< wake an idle serializer if work is due
   void try_begin(std::uint32_t link);
   void begin(std::uint32_t link);
-  void run_train(std::uint32_t link, SegRing* ring, std::uint32_t flits,
-                 double start);
+  void run_train(std::uint32_t link, SegRing* ring, std::uint32_t flits);
   void deliver_flit(std::uint32_t link);  ///< arrival side of on_advance
   void append_net(std::uint32_t link, Handle packet, double ready,
                   double stride, std::uint32_t count, std::uint32_t from);
@@ -279,13 +266,6 @@ class PacketNetwork {
   std::vector<LinkState> links_;
   std::vector<PacketRec> pool_;
   std::uint32_t pool_free_ = 0xffffffffu;
-  /// Elision margin for deferred ejection releases: a release maturing
-  /// link_latency after its flit leaves the wire is unobservable iff the
-  /// link cannot credit-starve first, and the serializer consumes at most
-  /// one credit per flit_cycle, so ceil(link_latency / flit_cycle) folded
-  /// credits at the decision point are sufficient.  0xffffffff disables
-  /// elision (flit_cycle == 0 or link_latency == 0).
-  std::uint32_t elide_need_ = 0xffffffffu;
   /// Lazily appended arrivals need a strictly positive link latency (a
   /// zero-latency arrival would have to land in the current timestep).
   bool lazy_arrivals_ = false;

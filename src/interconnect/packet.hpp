@@ -41,18 +41,6 @@ struct PacketConfig {
   double hist_max = 16384.0;    ///< latency histogram upper edge (cycles)
   std::size_t hist_bins = 128;  ///< latency histogram bin count
 
-  /// Link arbitration granularity.  true (default): wormhole-style — once
-  /// a packet's head flit wins a link, its body flits follow without
-  /// interleaving, which lets the engine advance whole flit trains with
-  /// single events (the fast path behind contention-mode figure sweeps).
-  /// false: flit-interleaved — every flit arbitrates individually, and
-  /// the engine replays the pre-rewrite per-flit event cascade
-  /// bit-exactly (the golden timing tests pin this mode against
-  /// recordings of the retired implementation).  Zero-load timing is
-  /// identical in both modes; they differ only in how same-cycle
-  /// contention between packets is interleaved.
-  bool wormhole = true;
-
   void validate() const {
     require(flit_bytes > 0, "PacketConfig: flit_bytes must be positive");
     require(flit_cycle >= 0.0 && link_latency >= 0.0 && router_latency >= 0.0,

@@ -2,7 +2,7 @@
 //
 // Drives a deterministic mix of uniform and hotspot traffic through a
 // PacketNetwork-compatible model and summarizes the exact delivery times.
-// The same program generated the pre-rewrite recordings baked into
+// The same program generated the recording baked into
 // test_interconnect_golden.cpp, so any timing drift in the engine —
 // arbitration order, backpressure, coalescing — shows up as a mismatch.
 //
