@@ -1,7 +1,7 @@
 // Event-kernel microbenchmark: dispatch throughput in events per second.
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
-// always build it.  Nine workloads stress the kernel paths the rest of
+// always build it.  Eight workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
 //   dispatch    N one-shot static calls pre-loaded into the calendar
@@ -16,8 +16,6 @@
 //   pingpong    two coroutines volleying through a pair of mailboxes
 //   timerwheel  W self-rescheduling timers with staggered periods, their
 //               state in a vector indexed by each event's `a` word
-//   cancelheavy timeout pattern: every op arms a far-future timeout and
-//               cancels it, exercising O(1) cancel + lazy compaction
 //   spawnchurn  short-lived processes, spawned and joined in batches,
 //               each taking a Resource and sending one Mailbox message:
 //               the per-process fixed cost (frame, join, wait queues)
@@ -102,7 +100,7 @@ Sample run_dispatch(std::uint64_t events) {
   std::uint64_t fired = 0;
   const Sample s = time_run([&](des::Simulation& sim) {
     for (std::uint64_t i = 0; i < events; ++i) {
-      (void)sim.schedule_static_at(static_cast<double>(i), &count_fire, &fired, 0, 0);
+      sim.schedule_static_at(static_cast<double>(i), &count_fire, &fired, 0, 0);
     }
   });
   ensure(fired == events, "bench_engine: dispatch lost events");
@@ -165,8 +163,8 @@ struct KeyedLink {
     const std::uint64_t key = link.keys[link.next];
     link.keys[link.next] = link.sim->allocate_seq();
     link.next = (link.next + 1) % kDepth;
-    (void)link.sim->schedule_static_at_seq(link.sim->now() + link.hop, key,
-                                           &KeyedLink::fire, &link, 0, 0);
+    link.sim->schedule_static_at_seq(link.sim->now() + link.hop, key,
+                                     &KeyedLink::fire, &link, 0, 0);
   }
 };
 
@@ -181,7 +179,7 @@ Sample run_keyed(std::uint64_t events) {
     link.hop = 1.0 + 0.375 * static_cast<double>(i % 7) + 0.1 * static_cast<double>(i % 3);
     link.remaining = events / kLinks;
     for (std::uint64_t& key : link.keys) key = sim.allocate_seq();
-    (void)sim.schedule_static_at(link.hop, &KeyedLink::fire, &link, 0, 0);
+    sim.schedule_static_at(link.hop, &KeyedLink::fire, &link, 0, 0);
   }
   const Sample s = timed_run(sim);
   ensure(s.events == kLinks * (events / kLinks),
@@ -234,8 +232,8 @@ struct TimerWheel {
     Timer& timer = wheel.timers[t];
     ++wheel.fired;
     if (--timer.remaining > 0) {
-      (void)wheel.sim->schedule_static_at(wheel.sim->now() + timer.period,
-                                          &TimerWheel::tick, &wheel, t, 0);
+      wheel.sim->schedule_static_at(wheel.sim->now() + timer.period,
+                                    &TimerWheel::tick, &wheel, t, 0);
     }
   }
 };
@@ -249,44 +247,10 @@ Sample run_timerwheel(std::uint64_t events) {
     // Periods 1..16 cycles, staggered so the heap stays busy.
     const double period = static_cast<double>(1 + t % 16);
     wheel.timers.push_back({period, per_timer});
-    (void)sim.schedule_static_at(period, &TimerWheel::tick, &wheel, t, 0);
+    sim.schedule_static_at(period, &TimerWheel::tick, &wheel, t, 0);
   }
   const Sample s = timed_run(sim);
   ensure(wheel.fired == kTimers * per_timer, "bench_engine: timer wheel lost ticks");
-  return s;
-}
-
-// --- cancelheavy: arm-and-cancel timeout pattern ------------------------
-
-/// The ops' remaining counts, indexed by each step event's `a` word.
-struct CancelHeavy {
-  des::Simulation* sim = nullptr;
-  std::vector<std::uint64_t> remaining;
-  std::uint64_t timeouts_fired = 0;
-
-  static void timeout(void* ctx, std::uint64_t, std::uint64_t) {
-    ++static_cast<CancelHeavy*>(ctx)->timeouts_fired;
-  }
-  static void step(void* ctx, std::uint64_t op, std::uint64_t) {
-    auto& c = *static_cast<CancelHeavy*>(ctx);
-    // Arm a far-future timeout, do one unit of work, cancel it — the
-    // calendar must not accumulate the dead entries.
-    const des::EventId timeout =
-        c.sim->schedule_static_at(c.sim->now() + 1e12, &CancelHeavy::timeout, &c, op, 0);
-    ensure(c.sim->cancel(timeout), "bench_engine: cancel failed");
-    if (--c.remaining[op] > 0) {
-      (void)c.sim->schedule_static_at(c.sim->now() + 1.0, &CancelHeavy::step, &c, op, 0);
-    }
-  }
-};
-
-Sample run_cancelheavy(std::uint64_t events) {
-  const std::uint64_t ops = events / 2;  // one fired event + one cancel per op
-  des::Simulation sim;
-  CancelHeavy heavy{&sim, {ops}, 0};
-  (void)sim.schedule_static_at(1.0, &CancelHeavy::step, &heavy, 0, 0);
-  const Sample s = timed_run(sim);
-  ensure(heavy.timeouts_fired == 0, "bench_engine: cancelled timeout fired");
   return s;
 }
 
@@ -366,7 +330,7 @@ int main(int argc, char** argv) {
     std::uint64_t pingpong_events_once = 0;
     for (const char* name :
          {"dispatch", "delayloop", "fracdelay", "keyed", "pingpong",
-          "timerwheel", "cancelheavy", "spawnchurn", "manyprocs"}) {
+          "timerwheel", "spawnchurn", "manyprocs"}) {
       WorkloadResult r;
       r.name = name;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -390,8 +354,6 @@ int main(int argc, char** argv) {
                  "bench_engine: non-deterministic ping-pong event count");
         } else if (r.name == "timerwheel") {
           s = run_timerwheel(events);
-        } else if (r.name == "cancelheavy") {
-          s = run_cancelheavy(events);
         } else if (r.name == "spawnchurn") {
           s = run_spawnchurn(events);
         } else {

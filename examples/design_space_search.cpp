@@ -4,6 +4,7 @@
 // configuration need to be?
 //
 // Build & run:  ./examples/design_space_search
+#include <cmath>
 #include <cstdio>
 
 #include "analytic/hwp_lwp.hpp"

@@ -6,7 +6,6 @@
 // a reader can always tell which unit a quantity is in.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace pimsim {
@@ -27,8 +26,6 @@ struct ClockSpec {
   [[nodiscard]] constexpr double to_seconds(Cycles c) const {
     return c * cycle_time_ns * 1e-9;
   }
-  /// Converts nanoseconds to cycles under this clock.
-  [[nodiscard]] constexpr Cycles from_ns(double ns) const { return ns / cycle_time_ns; }
 };
 
 /// Bits/bytes helpers for the DRAM bandwidth arithmetic in Section 2.1.
@@ -38,12 +35,6 @@ constexpr double kBitsPerTbit = 1e12;
 /// Converts (bits, nanoseconds) to Gbit/s.
 [[nodiscard]] constexpr double gbit_per_s(double bits, double ns) {
   return (bits / kBitsPerGbit) / (ns * 1e-9);
-}
-
-/// Compares doubles with a relative tolerance (used heavily by tests).
-[[nodiscard]] inline bool almost_equal(double a, double b, double rel_tol = 1e-9) {
-  const double scale = std::fmax(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= rel_tol * std::fmax(scale, 1.0);
 }
 
 }  // namespace pimsim

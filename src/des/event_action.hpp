@@ -10,8 +10,8 @@
 // `a`/`b`; the kernel stores four words and calls them.
 //
 // The record is trivially copyable and trivially destructible, so the
-// record pool never constructs, moves or destroys a payload, and a
-// cancelled event needs no cleanup.
+// record pool never constructs, moves or destroys a payload, and
+// dispatch copies it to the stack and frees the record before the call.
 #pragma once
 
 #include <cstdint>

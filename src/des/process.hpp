@@ -31,7 +31,7 @@
 // awaiting Process::handle_type (so only des::Process coroutines can
 // await them) and wakes it by linking that node through
 // Simulation::resume_at / resume_in / resume_soon: no EventAction, no
-// record, no EventId.
+// record.
 #pragma once
 
 #include <coroutine>

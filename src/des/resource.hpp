@@ -65,8 +65,6 @@ class Resource {
   // --- statistics -------------------------------------------------------
   /// Time-average fraction of capacity in use over [0, now].
   [[nodiscard]] double utilization() const;
-  /// Highest number of units simultaneously in use so far.
-  [[nodiscard]] double peak_in_use() const { return busy_.max(); }
   /// Time-average number of queued (not yet granted) requests.
   [[nodiscard]] double mean_queue_length() const;
   /// Waiting time statistics over granted requests.

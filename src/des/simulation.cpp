@@ -120,42 +120,7 @@ Simulation::EventRecord& Simulation::RecordPool::grow() {
   chunks_.push_back(std::allocator<EventRecord>().allocate(n));
   bump_ = chunks_.back();
   end_ = bump_ + n;
-  return *::new (static_cast<void*>(bump_++)) EventRecord(size_++);
-}
-
-Simulation::EventRecord* Simulation::RecordPool::find(std::uint32_t index) const {
-  if (index >= size_) return nullptr;
-  // Chunk k starts at index kFirstChunk * (2^k - 1).
-  const std::uint32_t k = std::bit_width(index / kFirstChunk + 1) - 1;
-  return chunks_[k] + (index - kFirstChunk * ((std::uint32_t{1} << k) - 1));
-}
-
-// A cancelled record whose node has just left the calendar.
-void Simulation::retire_stale(EventRecord& record) {
-  record.node.state = State::kIdle;
-  pool_.release(record);
-  --stale_;
-}
-
-bool Simulation::cancel(EventId id) {
-  const auto gen = static_cast<std::uint32_t>(id >> 32);
-  EventRecord* record = pool_.find(static_cast<std::uint32_t>(id));
-  // The state check rejects ids forged for a currently-free record.
-  if (gen == 0 || record == nullptr || record->generation != gen ||
-      record->node.state != State::kLinked) {
-    return false;
-  }
-  record->invalidate_ids();
-  record->node.state = State::kCancelled;
-  --live_records_;
-  ++stale_;
-  if (tracer_) trace(TraceKind::kEventCancelled, lbl_event_, id, record->node.seq());
-  // Lazy deletion keeps cancel O(1); compact once stale entries dominate
-  // so cancel-heavy workloads cannot grow the calendar without bound.
-  if (stale_ * 2 > calendar_entries() && calendar_entries() >= kCompactFloor) {
-    compact_calendar();
-  }
-  return true;
+  return construct();
 }
 
 // --- d-ary heap ----------------------------------------------------------
@@ -188,55 +153,6 @@ void Simulation::sift_down(std::size_t i) {
     i = best;
   }
   heap_[i] = entry;
-}
-
-void Simulation::compact_calendar() {
-  // Every stale node is a cancelled record: retire it to the pool.
-  const auto stale = [this](CalendarNode* node) {
-    if (node->state != State::kCancelled) return false;
-    retire_stale(*record_of(node));
-    return true;
-  };
-  std::erase_if(heap_, [&](const HeapEntry& entry) { return stale(entry.node); });
-  if (heap_.size() > 1) {
-    // Floyd heapify: sift down every internal node, deepest first.
-    for (std::size_t i = (heap_.size() - 2) / kHeapArity + 1; i-- > 0;) {
-      sift_down(i);
-    }
-  }
-  // Filter the immediate lane in place, preserving FIFO order.
-  CalendarNode* lane = std::exchange(lane_head_, nullptr);
-  lane_tail_ = nullptr;
-  lane_size_ = 0;
-  while (lane != nullptr) {
-    CalendarNode* next = lane->next;
-    if (!stale(lane)) lane_push(*lane);
-    lane = next;
-  }
-  // Filter every wheel bucket's list in place, preserving its key order.
-  for (std::size_t w = 0; w < kWheelWords; ++w) {
-    for (std::uint64_t bits = wheel_bits_[w]; bits != 0; bits &= bits - 1) {
-      const std::size_t b = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
-      WheelBucket& bucket = wheel_buckets_[b];
-      CalendarNode* last = nullptr;
-      for (CalendarNode* node = bucket.head; node != nullptr;) {
-        CalendarNode* next = node->next;
-        if (stale(node)) {
-          --wheel_size_;
-        } else {
-          (last != nullptr ? last->next : bucket.head) = node;
-          last = node;
-        }
-        node = next;
-      }
-      if (last == nullptr) {
-        wheel_clear_bit(b);
-      } else {
-        last->next = nullptr;
-        bucket.tail = last;
-      }
-    }
-  }
 }
 
 // --- timing wheel --------------------------------------------------------
@@ -317,81 +233,70 @@ void Simulation::advance_to(SimTime t) {
   }
 }
 
-// Unlinks and returns the next live node in global (time, seq) order.
+// Unlinks and returns the next node in global (time, seq) order.
 // Each of the immediate lane, the wheel's first bucket and the heap
 // yields its own nodes in key order, so the smallest of their three
 // front keys is the global minimum — the same event a single heap
-// holding everything would pop.  Stale (cancelled) fronts are retired
-// lazily.  With `bounded`, live events beyond `horizon` are left in
-// place and nullptr is returned.
+// holding everything would pop.  With `bounded`, events beyond
+// `horizon` are left in place and nullptr is returned.
 CalendarNode* Simulation::pop_next(bool bounded, SimTime horizon) {
   enum class Source { kNone, kLane, kWheel, kHeap };
-  for (;;) {
-    Source source = Source::kNone;
-    unsigned __int128 best = 0;
-    if (lane_head_ != nullptr) {
-      source = Source::kLane;
-      best = lane_head_->key;
-    }
-    // Wheel entries can sit at exactly now_ with an older seq than the
-    // lane front (scheduled before now_ reached their time), so the
-    // wheel competes with the lane as well as with the heap.  Only such
-    // an entry can precede the lane's front, and it sits in now_'s own
-    // bucket, the wheel's first: with the lane non-empty, that bucket is
-    // the only one to look at (now_tick_ is now_'s tick below the cap).
-    std::size_t bucket = 0;
-    if (wheel_size_ != 0) {
-      bool occupied = true;
-      if (source == Source::kLane && now_ < kWheelTimeCap) {
-        bucket = static_cast<std::size_t>(now_tick_) & kWheelMask;
-        occupied = ((wheel_bits_[bucket / 64] >> (bucket % 64)) & 1U) != 0;
-      } else {
-        bucket = wheel_front_bucket();
-      }
-      if (occupied) {
-        const unsigned __int128 key = wheel_buckets_[bucket].head->key;
-        if (source == Source::kNone || key < best) {
-          source = Source::kWheel;
-          best = key;
-        }
-      }
-    }
-    if (!heap_.empty() &&
-        (source == Source::kNone || heap_.front().key < best)) {
-      source = Source::kHeap;
-    }
-    CalendarNode* node = nullptr;
-    switch (source) {
-      case Source::kNone:
-        return nullptr;
-      case Source::kLane:
-        // Lane nodes sit at now_, never beyond a horizon.
-        node = lane_head_;
-        lane_head_ = node->next;
-        if (lane_head_ == nullptr) lane_tail_ = nullptr;
-        --lane_size_;
-        break;
-      case Source::kWheel:
-        node = wheel_buckets_[bucket].head;
-        if (bounded && node->state == State::kLinked && node->time() > horizon) {
-          return nullptr;
-        }
-        wheel_pop_front(bucket);
-        break;
-      case Source::kHeap:
-        node = heap_.front().node;
-        if (bounded && node->state == State::kLinked && node->time() > horizon) {
-          return nullptr;
-        }
-        heap_pop_top();
-        break;
-    }
-    if (node->state == State::kCancelled) {
-      retire_stale(*record_of(node));
-      continue;
-    }
-    return node;
+  Source source = Source::kNone;
+  unsigned __int128 best = 0;
+  if (lane_head_ != nullptr) {
+    source = Source::kLane;
+    best = lane_head_->key;
   }
+  // Wheel entries can sit at exactly now_ with an older seq than the
+  // lane front (scheduled before now_ reached their time), so the
+  // wheel competes with the lane as well as with the heap.  Only such
+  // an entry can precede the lane's front, and it sits in now_'s own
+  // bucket, the wheel's first: with the lane non-empty, that bucket is
+  // the only one to look at (now_tick_ is now_'s tick below the cap).
+  std::size_t bucket = 0;
+  if (wheel_size_ != 0) {
+    bool occupied = true;
+    if (source == Source::kLane && now_ < kWheelTimeCap) {
+      bucket = static_cast<std::size_t>(now_tick_) & kWheelMask;
+      occupied = ((wheel_bits_[bucket / 64] >> (bucket % 64)) & 1U) != 0;
+    } else {
+      bucket = wheel_front_bucket();
+    }
+    if (occupied) {
+      const unsigned __int128 key = wheel_buckets_[bucket].head->key;
+      if (source == Source::kNone || key < best) {
+        source = Source::kWheel;
+        best = key;
+      }
+    }
+  }
+  if (!heap_.empty() &&
+      (source == Source::kNone || heap_.front().key < best)) {
+    source = Source::kHeap;
+  }
+  CalendarNode* node = nullptr;
+  switch (source) {
+    case Source::kNone:
+      return nullptr;
+    case Source::kLane:
+      // Lane nodes sit at now_, never beyond a horizon.
+      node = lane_head_;
+      lane_head_ = node->next;
+      if (lane_head_ == nullptr) lane_tail_ = nullptr;
+      --lane_size_;
+      break;
+    case Source::kWheel:
+      node = wheel_buckets_[bucket].head;
+      if (bounded && node->time() > horizon) return nullptr;
+      wheel_pop_front(bucket);
+      break;
+    case Source::kHeap:
+      node = heap_.front().node;
+      if (bounded && node->time() > horizon) return nullptr;
+      heap_pop_top();
+      break;
+  }
+  return node;
 }
 
 void Simulation::dispatch(CalendarNode& node) {
@@ -412,33 +317,23 @@ void Simulation::dispatch(CalendarNode& node) {
     // The woken process may link this node again before resume returns.
     --live_wakes_;
     const auto frame = std::coroutine_handle<>::from_address(hook_of(node).frame);
-    run_observed(EventAction::kWakeKindId, kInvalidEvent, [frame] { frame.resume(); });
+    run_observed(EventAction::kWakeKindId, [frame] { frame.resume(); });
   } else {
-    // The callback must observe this event as already dispatched (a
-    // cancel of its id fails), so the generation moves on first; the
-    // record rejoins the free list only once the callback has returned,
-    // so it runs in place with no relocation, even if it schedules.
+    // The call is copied out and the record freed before it runs, so the
+    // callback may reuse the record for what it schedules, and a throwing
+    // callback leaves no record behind.
     EventRecord& record = *record_of(&node);
-    const EventId id = record.id();
-    record.invalidate_ids();
+    const EventAction action = record.action;
     --live_records_;
-    ++running_records_;
-    struct Release {
-      Simulation& sim;
-      EventRecord& record;
-      ~Release() {
-        --sim.running_records_;
-        sim.pool_.release(record);
-      }
-    } release{*this, record};
-    run_observed(EventAction::kCallKindId, id, [&record] { record.action.invoke(); });
+    pool_.release(record);
+    run_observed(EventAction::kCallKindId, [&action] { action.invoke(); });
   }
   current_seq_ = 0;  // outside dispatch the documented value is 0
 }
 
 template <typename Invoke>
-void Simulation::run_observed(std::uint8_t kind, EventId id, Invoke&& invoke) {
-  if (tracer_) trace(TraceKind::kEventDispatched, lbl_event_, id, current_seq_);
+void Simulation::run_observed(std::uint8_t kind, Invoke&& invoke) {
+  if (tracer_) trace(TraceKind::kEventDispatched, lbl_event_, 0, current_seq_);
   if (audit_) {
     audit_->record(now_, current_seq_, kind);
     if (audit_countdown_ == 0) {
@@ -515,21 +410,15 @@ void Simulation::set_audit(bool enabled) {
   }
 }
 
-/// Counts the nodes found in the calendar's structures by owner and state.
+/// Counts the nodes found in the calendar's structures by owner.
 struct Simulation::AuditTally {
-  std::size_t records = 0;    // pending pooled events
-  std::size_t wakes = 0;      // pending process wakes
-  std::size_t cancelled = 0;  // stale records
+  std::size_t records = 0;  // pending pooled events
+  std::size_t wakes = 0;    // pending process wakes
 
   void add(const CalendarNode& node) {
-    ensure(node.state != State::kIdle,
+    ensure(node.state == State::kLinked,
            "Simulation audit: calendar holds an unlinked node");
-    if (node.state == State::kCancelled) {
-      ensure(!node.process, "Simulation audit: a process wake was cancelled");
-      ++cancelled;
-    } else {
-      ++(node.process ? wakes : records);
-    }
+    ++(node.process ? wakes : records);
   }
 };
 
@@ -561,12 +450,10 @@ void Simulation::audit_check_now() const {
   audit_wheel(tally);
   // Every node in a structure is counted once; the totals must equal the
   // kernel's counters exactly.
-  ensure(tally.records == live_records_ && tally.wakes == live_wakes_ &&
-             tally.cancelled == stale_,
-         "Simulation audit: calendar nodes disagree with the live/stale counts");
+  ensure(tally.records == live_records_ && tally.wakes == live_wakes_,
+         "Simulation audit: calendar nodes disagree with the live counts");
   // Record pool: the free list must be acyclic, hold only idle records,
-  // and account for exactly the records neither live, stale nor running
-  // their callback.
+  // and account for exactly the records not pending.
   std::size_t free_count = 0;
   for (const EventRecord* r = pool_.free_head(); r != nullptr;
        r = record_of(r->node.next)) {
@@ -574,13 +461,8 @@ void Simulation::audit_check_now() const {
     ensure(r->node.state == State::kIdle,
            "Simulation audit: a free record is linked");
   }
-  ensure(free_count + live_records_ + stale_ + running_records_ == pool_.size(),
-         "Simulation audit: record accounting mismatch (free + live + stale "
-         "+ running != pool)");
-  pool_.for_each([](const EventRecord& r) {
-    ensure(r.generation != 0,
-           "Simulation audit: record generation hit the 0 sentinel");
-  });
+  ensure(free_count + live_records_ == pool_.size(),
+         "Simulation audit: record accounting mismatch (free + live != pool)");
 }
 
 void Simulation::audit_wheel(AuditTally& tally) const {

@@ -33,12 +33,12 @@
 //   * a 4-ary min-heap of (key, node) entries for far events and for the
 //     rare near one whose in-bucket walk would be longer than kWheelWalk.
 // pop_next takes the smallest key among the three fronts, so the merged
-// order is exactly the heap-only order.  cancel() (pooled events only:
-// wakes have no EventId) bumps the record's generation in O(1) and
-// leaves its node linked as a stale entry, which dispatch retires lazily
-// and a compaction pass reclaims whenever stale entries outnumber live
-// ones.  Nothing on the wake path (spawn, delay, mailbox and resource
-// wake-ups) touches the allocator or the record pool.
+// order is exactly the heap-only order.  Every scheduled event
+// dispatches exactly once and nothing removes it before then, so every
+// node in the calendar is live.  Dispatch copies a pooled event's call
+// to the stack and frees its record before invoking it.  Nothing on the
+// wake path (spawn, delay, mailbox and resource wake-ups) touches the
+// allocator or the record pool.
 #pragma once
 
 #include <array>
@@ -66,21 +66,13 @@ namespace pimsim::des {
 
 class Process;
 
-/// Identifies a pooled event so it can be cancelled before dispatch.
-/// Encodes (record generation << 32 | record index); stale ids never
-/// match.  Process wakes have none.
-using EventId = std::uint64_t;
-/// Sentinel for "no cancellable handle" (also the id traced for wakes).
-inline constexpr EventId kInvalidEvent = 0;
-
 /// A calendar entry: the key that orders it and the link that chains it
 /// into the immediate lane or a wheel bucket.  Nodes never move while
 /// linked, so the calendar's structures hold plain pointers to them.
 struct CalendarNode {
   enum class State : std::uint8_t {
-    kIdle,       // in no structure
-    kLinked,     // pending
-    kCancelled,  // a cancelled pooled event still linked (stale)
+    kIdle,    // in no structure
+    kLinked,  // pending
   };
   unsigned __int128 key = 0;  // (bit_cast<u64>(time) << 64) | seq
   CalendarNode* next = nullptr;
@@ -120,11 +112,6 @@ class Simulation {
   /// Current simulation time in HWP cycles.
   [[nodiscard]] SimTime now() const { return now_; }
 
-  /// Cancels a pending event; returns false if already dispatched/unknown.
-  /// O(1): the record's node stays linked as a stale entry and is
-  /// reclaimed when it surfaces (or by compaction).
-  bool cancel(EventId id);
-
   /// Runs until the event calendar is empty.
   void run();
   /// Runs all events with time <= horizon, then advances now() to horizon.
@@ -134,19 +121,16 @@ class Simulation {
 
   /// Number of events dispatched so far (diagnostic).
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
-  /// Number of live (schedulable, not cancelled) events currently
-  /// pending: pooled events plus process wakes.
+  /// Number of events currently pending: pooled events plus process
+  /// wakes.
   [[nodiscard]] std::size_t events_pending() const {
     return live_records_ + live_wakes_;
   }
-  /// Calendar entries (immediate lane + wheel + heap), including stale
-  /// ones awaiting lazy removal.  Bounded at < 2x events_pending() +
-  /// compaction floor (leak diagnostic).
+  /// Calendar entries (immediate lane + wheel + heap); always equal to
+  /// events_pending() (leak diagnostic).
   [[nodiscard]] std::size_t calendar_entries() const {
     return heap_.size() + wheel_size_ + lane_size_;
   }
-  /// Stale (cancelled) calendar entries not yet compacted away.
-  [[nodiscard]] std::size_t stale_calendar_entries() const { return stale_; }
 
   /// Starts a coroutine process; the simulation owns its frame.
   /// The process body begins executing at the current simulation time
@@ -287,27 +271,27 @@ class Simulation {
   /// (>= now).  Every pooled event takes this path: a component keeps
   /// its per-event state itself and passes an index or pointer in
   /// `a`/`b`.  Allocation-free once the record pool is warm.
-  EventId schedule_static_at(SimTime at, EventAction::StaticFn fn, void* ctx,
-                             std::uint64_t a, std::uint64_t b) {
+  void schedule_static_at(SimTime at, EventAction::StaticFn fn, void* ctx,
+                          std::uint64_t a, std::uint64_t b) {
     ensure(fn != nullptr, "Simulation::schedule_static_at: null callback");
-    return schedule_action(at, EventAction{fn, ctx, a, b});
+    schedule_action(at, EventAction{fn, ctx, a, b});
   }
 
   /// Schedules a static call under a key from allocate_seq().  `at` must
   /// be strictly in the future (a key older than already dispatched
   /// same-time events cannot be honoured).
-  EventId schedule_static_at_seq(SimTime at, std::uint64_t seq,
-                                 EventAction::StaticFn fn, void* ctx,
-                                 std::uint64_t a, std::uint64_t b) {
+  void schedule_static_at_seq(SimTime at, std::uint64_t seq,
+                              EventAction::StaticFn fn, void* ctx,
+                              std::uint64_t a, std::uint64_t b) {
     ensure(fn != nullptr, "Simulation::schedule_static_at_seq: null callback");
     ensure(at > now_, "Simulation::schedule_static_at_seq: must be future");
-    return schedule_action_seq(at, seq, EventAction{fn, ctx, a, b});
+    schedule_action_seq(at, seq, EventAction{fn, ctx, a, b});
   }
 
   // --- internal hooks used by the process layer (see process.hpp) ---
   //
-  // A wake links the process's own ProcessHook::node: no record, no
-  // EventAction, no EventId.  A suspended process has at most one
+  // A wake links the process's own ProcessHook::node: no record and no
+  // EventAction.  A suspended process has at most one
   // pending wake; scheduling a second throws LogicError.
 
   /// Wakes the suspended process at absolute time `at` (>= now).
@@ -332,34 +316,19 @@ class Simulation {
  private:
   using State = CalendarNode::State;
 
-  /// Compaction is skipped below this calendar size: a bounded number of
-  /// stale entries is cheaper to skip at dispatch than to rebuild away.
-  static constexpr std::size_t kCompactFloor = 64;
   /// Initial capacity of the heap and registry vectors.
   static constexpr std::size_t kInitialCapacity = 64;
 
-  /// A pooled (non-wake) event: its node, its static call, and the
-  /// generation that validates EventIds.  Free records chain through
-  /// node.next.  Trivially destructible: the pool frees chunks without
-  /// visiting records, and cancel leaves the stale call in place.
+  /// A pooled (non-wake) event: its node and its static call.  Free
+  /// records chain through node.next.  Trivially destructible: the pool
+  /// frees chunks without visiting records.
   struct EventRecord {
-    explicit EventRecord(std::uint32_t at) : index(at) {}
-
     CalendarNode node;  // first: a node pointer is the record's address
     EventAction action{};
-    std::uint32_t generation = 1;  // bumped on dispatch/cancel; never 0
-    std::uint32_t index = 0;       // position in the pool, for EventIds
-
-    [[nodiscard]] EventId id() const {
-      return (static_cast<EventId>(generation) << 32) | index;
-    }
-    /// Makes every id handed out so far stale (0 is the id sentinel).
-    void invalidate_ids() {
-      if (++generation == 0) generation = 1;
-    }
   };
   static_assert(std::is_standard_layout_v<EventRecord>, "record_of casts");
   static_assert(std::is_trivially_destructible_v<EventRecord>);
+  static_assert(sizeof(EventRecord) == 64, "a node and a call, one cache line");
 
   /// EventRecords at stable addresses: chunk k holds kFirstChunk << k
   /// records, constructed on first use (so a short run touches only the
@@ -367,7 +336,7 @@ class Simulation {
   class RecordPool {
    public:
     static constexpr std::uint32_t kFirstChunk = 64;
-    /// 64 * (2^26 - 1) records: the most whose indices fit an EventId.
+    /// 64 * (2^26 - 1) records: the most whose count fits 32 bits.
     static constexpr std::size_t kMaxChunks = 26;
 
     RecordPool() = default;
@@ -381,24 +350,22 @@ class Simulation {
         free_ = record_of(r.node.next);
         return r;
       }
-      if (bump_ != end_) return *::new (static_cast<void*>(bump_++)) EventRecord(size_++);
+      if (bump_ != end_) return construct();
       return grow();
     }
     void release(EventRecord& r) {
       r.node.next = free_ != nullptr ? &free_->node : nullptr;
       free_ = &r;
     }
-    /// The record at `index`, or nullptr past the constructed ones.
-    [[nodiscard]] EventRecord* find(std::uint32_t index) const;
-    /// Records constructed so far (free, live or stale).
+    /// Records constructed so far (free or live).
     [[nodiscard]] std::uint32_t size() const { return size_; }
     [[nodiscard]] const EventRecord* free_head() const { return free_; }
-    template <typename F>
-    void for_each(F&& f) const {
-      for (std::uint32_t i = 0; i < size_; ++i) f(*find(i));
-    }
 
    private:
+    EventRecord& construct() {
+      ++size_;
+      return *::new (static_cast<void*>(bump_++)) EventRecord;
+    }
     EventRecord& grow();
     static std::uint32_t chunk_size(std::size_t k) { return kFirstChunk << k; }
 
@@ -437,16 +404,15 @@ class Simulation {
   // The scheduling fast path is defined inline (below the class) so the
   // resume_* hooks and schedule_static_* compile down to a few stores
   // and one list or bucket link at every call site.
-  EventId schedule_action(SimTime at, const EventAction& action);
-  EventId schedule_action_seq(SimTime at, std::uint64_t seq,
-                              const EventAction& action);
+  void schedule_action(SimTime at, const EventAction& action);
+  void schedule_action_seq(SimTime at, std::uint64_t seq,
+                           const EventAction& action);
   void link_wake(SimTime at, CalendarNode& node);
-  void retire_stale(EventRecord& record);
   void advance_to(SimTime t);
   CalendarNode* pop_next(bool bounded, SimTime horizon);
   void dispatch(CalendarNode& node);
   template <typename Invoke>
-  void run_observed(std::uint8_t kind, EventId id, Invoke&& invoke);
+  void run_observed(std::uint8_t kind, Invoke&& invoke);
   void rethrow_pending();
 
   // Immediate lane: an intrusive FIFO through CalendarNode::next.
@@ -458,7 +424,6 @@ class Simulation {
   void heap_pop_top();
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void compact_calendar();
   struct AuditTally;
   void audit_wheel(AuditTally& tally) const;
 
@@ -504,14 +469,12 @@ class Simulation {
   std::uint64_t next_seq_ = 1;
   std::uint64_t current_seq_ = 0;
   std::uint64_t dispatched_ = 0;
-  std::size_t live_records_ = 0;  // pending pooled events (not cancelled)
+  std::size_t live_records_ = 0;  // pending pooled events
   std::size_t live_wakes_ = 0;    // pending process wakes
-  std::size_t stale_ = 0;         // cancelled records still linked
-  std::size_t running_records_ = 0;  // records whose callback is running
   std::vector<HeapEntry> heap_;
   // Timing wheel state.  Buckets are allocated on first use and never
   // initialized: the bitmap says which heads/tails are meaningful.
-  std::size_t wheel_size_ = 0;  // entries, including stale ones
+  std::size_t wheel_size_ = 0;  // entries
   // wheel_tick(now_): bucket scans start here.  Wheel ticks stay below
   // 2^53, so they use signed conversions, one instruction each on x86-64
   // (unsigned ones branch).
@@ -623,10 +586,10 @@ inline void Simulation::link_wake(SimTime at, CalendarNode& node) {
   node.state = State::kLinked;
   calendar_push(at, node);
   ++live_wakes_;
-  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, kInvalidEvent, seq);
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, 0, seq);
 }
 
-inline EventId Simulation::schedule_action(SimTime at, const EventAction& action) {
+inline void Simulation::schedule_action(SimTime at, const EventAction& action) {
   ensure(at >= now_, "Simulation::schedule_static_at: cannot schedule in the past");
   EventRecord& record = pool_.acquire();
   record.action = action;
@@ -635,14 +598,11 @@ inline EventId Simulation::schedule_action(SimTime at, const EventAction& action
   record.node.state = State::kLinked;
   calendar_push(at, record.node);
   ++live_records_;
-  const EventId id = record.id();
-  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id, seq);
-  return id;
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, 0, seq);
 }
 
-inline des::EventId Simulation::schedule_action_seq(SimTime at,
-                                                    std::uint64_t seq,
-                                                    const EventAction& action) {
+inline void Simulation::schedule_action_seq(SimTime at, std::uint64_t seq,
+                                            const EventAction& action) {
   // A keyed event is always strictly in the future (callers ensure it),
   // so it never joins the lane, whose FIFO assumes push order == seq
   // order.  The wheel's buckets are key-ordered, so it may go there.
@@ -652,9 +612,7 @@ inline des::EventId Simulation::schedule_action_seq(SimTime at,
   record.node.state = State::kLinked;
   calendar_push(at, record.node);
   ++live_records_;
-  const EventId id = record.id();
-  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, id, seq);
-  return id;
+  if (tracer_) trace(TraceKind::kEventScheduled, lbl_event_, 0, seq);
 }
 
 }  // namespace pimsim::des

@@ -6,7 +6,6 @@ const char* to_string(TraceKind kind) {
   switch (kind) {
     case TraceKind::kEventScheduled: return "event-scheduled";
     case TraceKind::kEventDispatched: return "event-dispatched";
-    case TraceKind::kEventCancelled: return "event-cancelled";
     case TraceKind::kProcessSpawned: return "process-spawned";
     case TraceKind::kProcessFinished: return "process-finished";
     case TraceKind::kResourceAcquire: return "resource-acquire";

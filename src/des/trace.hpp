@@ -8,7 +8,7 @@
 // Records are POD: the hot path never allocates.  Human-readable names are
 // interned once per object into a label table (`intern()` returns a dense
 // `LabelId`), and the two payload words `a`/`b` carry kind-specific integers
-// (event ids, async span ids, counter values).  The buffer is bounded:
+// (event seqs, async span ids, counter values).  The buffer is bounded:
 // records past the capacity are counted in `dropped()` instead of growing
 // without limit, so a saturated run cannot OOM.  Keep-first semantics (as
 // opposed to ring overwrite) preserve span-begin records for the Chrome
@@ -26,12 +26,13 @@
 
 namespace pimsim::des {
 
-/// Kind of traced kernel action.
+/// Kind of traced kernel action.  Value 2 is unused: it named a retired
+/// per-event kernel kind, and the values are part of the trace
+/// exporter's blob ordering (obs/chrome_trace.cpp), so none moves.
 enum class TraceKind : std::uint8_t {
-  kEventScheduled,
-  kEventDispatched,
-  kEventCancelled,
-  kProcessSpawned,
+  kEventScheduled = 0,
+  kEventDispatched = 1,
+  kProcessSpawned = 3,
   kProcessFinished,
   kResourceAcquire,
   kResourceRelease,
@@ -44,8 +45,9 @@ enum class TraceKind : std::uint8_t {
   kInstant,      ///< free-form instant marker
 };
 
-/// Number of TraceKind values (for masks and name tables).
+/// One past the largest TraceKind value (for masks and name tables).
 inline constexpr std::size_t kTraceKindCount = 14;
+static_assert(static_cast<std::size_t>(TraceKind::kInstant) + 1 == kTraceKindCount);
 
 /// Index into a Tracer's label table.  Label 0 is always the empty string.
 using LabelId = std::uint32_t;
@@ -72,17 +74,16 @@ class Tracer {
   /// Default record capacity (64 Ki records, ~2 MiB).
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 16;
 
-  /// Bitmask enabling every TraceKind.
+  /// Bitmask enabling every TraceKind (and the unused value 2).
   static constexpr std::uint32_t kAllKinds =
       (std::uint32_t{1} << kTraceKindCount) - 1;
 
-  /// Bitmask excluding the per-event kernel kinds (scheduled / dispatched /
-  /// cancelled), which dominate record volume on any non-trivial run and
+  /// Bitmask excluding the per-event kernel kinds (scheduled /
+  /// dispatched), which dominate record volume on any non-trivial run and
   /// would flood the bounded buffer before the interesting tracks appear.
   static constexpr std::uint32_t kDefaultKinds =
       kAllKinds & ~((std::uint32_t{1} << static_cast<unsigned>(TraceKind::kEventScheduled)) |
-                    (std::uint32_t{1} << static_cast<unsigned>(TraceKind::kEventDispatched)) |
-                    (std::uint32_t{1} << static_cast<unsigned>(TraceKind::kEventCancelled)));
+                    (std::uint32_t{1} << static_cast<unsigned>(TraceKind::kEventDispatched)));
 
   /// Records into the internal bounded buffer (default) or forwards every
   /// record to `cb` (unbounded; the callback owns retention).

@@ -67,10 +67,9 @@ std::unique_ptr<ContentionInterconnect> make_contention_interconnect(
   const double hop_cost = (round_trip / 2.0) / std::max(mean_hops, 1.0);
 
   // Split the per-hop budget: flit_cycle of serialization (capped at the
-  // budget so tiny latencies stay exact), the rest as wire propagation.
-  // Router latency is folded into the budget as zero so per-pair latency
-  // is exactly hops * hop_cost, matching the analytic models.
-  config.router_latency = 0.0;
+  // budget so tiny latencies stay exact), the rest as wire propagation,
+  // so per-pair latency is exactly hops * hop_cost, matching the analytic
+  // models.
   config.flit_cycle = std::min(config.flit_cycle, hop_cost);
   config.link_latency = hop_cost - config.flit_cycle;
   // Size each input buffer to the link's bandwidth-delay product (a

@@ -81,8 +81,8 @@ class ContentionInterconnect final : public parcel::Interconnect {
 /// zero-load single-flit latency of every node pair equals the analytic
 /// model's one_way_latency for the same (kind, nodes, round_trip) — the
 /// per-hop budget is split into flit_cycle serialization plus link
-/// propagation, and router_latency is folded to zero.  flit_bytes and
-/// histogram settings are taken from `config`; `config.credits` is a
+/// propagation.  flit_bytes and histogram settings are taken from
+/// `config`; `config.credits` is a
 /// floor, raised to the calibrated link's bandwidth-delay product so the
 /// wires can reach full utilization before backpressure sets in.
 [[nodiscard]] std::unique_ptr<ContentionInterconnect> make_contention_interconnect(

@@ -81,9 +81,8 @@ PacketNetwork::PacketNetwork(des::Simulation& sim, Topology topology,
   }
   // Lazily appended arrivals need a strictly positive wire latency (a
   // zero-latency arrival lands in the current timestep, i.e. must be a
-  // real event) and no router latency (which splits the old arrival into
-  // an arrive + a delayed enqueue with its own calendar position).
-  lazy_arrivals_ = cfg_.link_latency > 0.0 && cfg_.router_latency <= 0.0;
+  // real event).
+  lazy_arrivals_ = cfg_.link_latency > 0.0;
   if (sim_.metrics_enabled()) {
     m_latency_ = &sim_.metrics().summary("net.packet_latency_cycles");
   }
@@ -186,7 +185,7 @@ void PacketNetwork::schedule_ev(SimTime at, Ev ev, std::uint32_t link,
                                 Handle packet) {
   const std::uint64_t a =
       static_cast<std::uint64_t>(ev) | (static_cast<std::uint64_t>(link) << 8);
-  (void)sim_.schedule_static_at(at, &PacketNetwork::on_event, this, a, packet);
+  sim_.schedule_static_at(at, &PacketNetwork::on_event, this, a, packet);
 }
 
 void PacketNetwork::on_event(void* self, std::uint64_t a, std::uint64_t b) {
@@ -198,9 +197,6 @@ void PacketNetwork::on_event(void* self, std::uint64_t a, std::uint64_t b) {
       return;
     case Ev::kArrive:
       net->on_arrive(link, b, (a >> 32) != 0);
-      return;
-    case Ev::kFwd:
-      net->on_fwd(link, b, static_cast<std::uint32_t>(a >> 32));
       return;
     case Ev::kLocal: {
       PacketRec& p = net->rec(b);
@@ -346,8 +342,8 @@ void PacketNetwork::arm_wake(std::uint32_t li, double ready,
   if (link.wake_armed && link.wake_ready <= ready) return;
   const std::uint64_t a = static_cast<std::uint64_t>(Ev::kWake) |
                           (static_cast<std::uint64_t>(li) << 8);
-  (void)sim_.schedule_static_at_seq(ready, key, &PacketNetwork::on_event,
-                                    this, a, 0);
+  sim_.schedule_static_at_seq(ready, key, &PacketNetwork::on_event, this, a,
+                              0);
   link.wake_armed = true;
   link.wake_ready = ready;
 }
@@ -391,9 +387,7 @@ void PacketNetwork::try_begin(std::uint32_t li) {
 
   const Handle packet = front.packet;
   const std::uint32_t from = front.from_link;
-  // Trains assume pure wire delay between hops; a router_latency keeps
-  // the (rarely used) per-flit switch-delay path authoritative.
-  if (cfg_.router_latency <= 0.0 && link.credits >= 2 && front.count >= 2) {
+  if (link.credits >= 2 && front.count >= 2) {
     // Wormhole fast path: the head packet owns the wire for a whole run.
     // Every flit of a segment is streamable (ready + i * stride never
     // trails the wire at one start per flit_cycle), so the train length
@@ -486,7 +480,7 @@ void PacketNetwork::run_train(std::uint32_t li, SegRing* ring,
     if (has_final) {
       const std::uint64_t a = static_cast<std::uint64_t>(Ev::kComplete) |
                               (static_cast<std::uint64_t>(li) << 8);
-      (void)sim_.schedule_static_at(
+      sim_.schedule_static_at(
           start + static_cast<double>(flits) * fc + cfg_.link_latency,
           &PacketNetwork::on_event, this, a, packet);
     }
@@ -568,8 +562,8 @@ void PacketNetwork::deliver_flit(std::uint32_t li) {
     const std::uint64_t a = static_cast<std::uint64_t>(Ev::kArrive) |
                             (static_cast<std::uint64_t>(li) << 8) |
                             (final_flit ? (1ull << 32) : 0ull);
-    (void)sim_.schedule_static_at(sim_.now() + cfg_.link_latency,
-                                  &PacketNetwork::on_event, this, a, handle);
+    sim_.schedule_static_at(sim_.now() + cfg_.link_latency,
+                            &PacketNetwork::on_event, this, a, handle);
     return;
   }
   const std::uint32_t next = topo_.next_link(router, p.dst);
@@ -625,25 +619,13 @@ void PacketNetwork::on_arrive(std::uint32_t li, Handle handle,
   }
   const std::uint32_t next = topo_.next_link(router, p.dst);
   ensure(next != kNoLink, "PacketNetwork: routing dead end");
-  if (cfg_.router_latency > 0.0) {
-    const std::uint64_t a = static_cast<std::uint64_t>(Ev::kFwd) |
-                            (static_cast<std::uint64_t>(next) << 8) |
-                            (static_cast<std::uint64_t>(li) << 32);
-    (void)sim_.schedule_static_at(sim_.now() + cfg_.router_latency,
-                                  &PacketNetwork::on_event, this, a, handle);
-    return;
-  }
-  on_fwd(next, handle, li);
-}
-
-void PacketNetwork::on_fwd(std::uint32_t next, Handle handle,
-                           std::uint32_t from) {
+  // The flit joins the next link's queue under this arrival's key.
   Segment seg;
   seg.packet = handle;
   seg.ready = sim_.now();
   seg.key = sim_.current_dispatch_seq();
   seg.count = 1;
-  seg.from_link = from;
+  seg.from_link = li;
   links_[next].mat.push_back(seg);
   poke(next);
 }

@@ -215,7 +215,6 @@ class PacketNetwork {
   enum class Ev : std::uint64_t {
     kAdvance,  ///< timed: serialization end of the current flit/train
     kArrive,   ///< timed: flit lands at the downstream router
-    kFwd,      ///< timed: router-latency-delayed enqueue on the next link
     kLocal,    ///< lane: src == dst local delivery
     kWake,     ///< timed, keyed: wake-up for a lazily appended arrival
     kCreditWake,  ///< timed: a ledgered credit return matures for a
@@ -228,7 +227,6 @@ class PacketNetwork {
   // --- engine -----------------------------------------------------------
   void on_advance(std::uint32_t link);
   void on_arrive(std::uint32_t link, Handle handle, bool final_flit);
-  void on_fwd(std::uint32_t link, Handle handle, std::uint32_t from);
   void on_wake(std::uint32_t link);
   void on_credit_wake(std::uint32_t link);
 

@@ -26,8 +26,7 @@ namespace pimsim::interconnect {
 /// Zero-load end-to-end latency of an F-flit packet over a path of H links
 /// (H >= 1) is
 ///
-///   H * (flit_cycle + link_latency) + (H - 1) * router_latency
-///     + (F - 1) * flit_cycle
+///   H * (flit_cycle + link_latency) + (F - 1) * flit_cycle
 ///
 /// (head flit pays every hop; body flits pipeline behind it at one flit
 /// per flit_cycle), provided `credits` is large enough that an otherwise
@@ -36,14 +35,13 @@ struct PacketConfig {
   std::size_t flit_bytes = 16;  ///< payload bytes per flit
   Cycles flit_cycle = 1.0;      ///< link serialization time per flit
   Cycles link_latency = 1.0;    ///< link propagation delay
-  Cycles router_latency = 0.0;  ///< per-flit route/switch delay at each hop
   std::size_t credits = 8;      ///< input-buffer slots per link (flow control)
   double hist_max = 16384.0;    ///< latency histogram upper edge (cycles)
   std::size_t hist_bins = 128;  ///< latency histogram bin count
 
   void validate() const {
     require(flit_bytes > 0, "PacketConfig: flit_bytes must be positive");
-    require(flit_cycle >= 0.0 && link_latency >= 0.0 && router_latency >= 0.0,
+    require(flit_cycle >= 0.0 && link_latency >= 0.0,
             "PacketConfig: latencies must be non-negative");
     require(credits > 0, "PacketConfig: need at least one credit per link");
     require(hist_max > 0.0 && hist_bins > 0, "PacketConfig: bad histogram");
@@ -58,7 +56,6 @@ struct PacketConfig {
                                              const PacketConfig& cfg) {
   if (hops == 0) return 0.0;
   return static_cast<double>(hops) * (cfg.flit_cycle + cfg.link_latency) +
-         static_cast<double>(hops - 1) * cfg.router_latency +
          (static_cast<double>(flits) - 1.0) * cfg.flit_cycle;
 }
 

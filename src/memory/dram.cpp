@@ -48,10 +48,6 @@ double DramBank::access_ns(std::uint64_t row) {
   return spec_.row_access_ns + spec_.page_access_ns;
 }
 
-double DramBank::closed_page_access_ns() const {
-  return spec_.row_access_ns + spec_.page_access_ns;
-}
-
 bool DramBank::row_open(std::uint64_t row) const {
   return any_open_ && open_row_ == row;
 }

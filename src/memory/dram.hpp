@@ -60,10 +60,6 @@ class DramBank {
   /// Latency in ns of reading `row`; opens that row.
   [[nodiscard]] double access_ns(std::uint64_t row);
 
-  /// Latency without the row-buffer (always pays the row access): the
-  /// "conventional path" a cacheless off-chip access would take.
-  [[nodiscard]] double closed_page_access_ns() const;
-
   [[nodiscard]] bool row_open(std::uint64_t row) const;
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }

@@ -14,8 +14,8 @@ void Interconnect::deliver(des::Simulation& sim, NodeId src, NodeId dst,
                            des::EventAction::StaticFn arrive, void* ctx,
                            std::uint64_t a, std::uint64_t b) const {
   if (arrive == nullptr) return;  // nothing observes the arrival
-  (void)sim.schedule_static_at(sim.now() + one_way_latency(src, dst), arrive,
-                               ctx, a, b);
+  sim.schedule_static_at(sim.now() + one_way_latency(src, dst), arrive, ctx,
+                         a, b);
 }
 
 FlatInterconnect::FlatInterconnect(Cycles round_trip)

@@ -11,10 +11,9 @@
 //   events.in(2.0, [&] { ... });   // relative to sim.now()
 //
 // The arena must outlive every run of the simulation that can dispatch
-// its events.  A closure is released when it runs; pending and
-// cancelled ones die with the arena.  Events that only need to exist
-// (calendar filler, cancelled timeouts) take `no_op_at` and leave the
-// arena out.
+// its events.  A closure is released when it runs; pending ones die
+// with the arena.  Events that only need to exist (calendar filler)
+// take `no_op_at` and leave the arena out.
 #pragma once
 
 #include <cstdint>
@@ -28,8 +27,8 @@
 namespace pimsim::test {
 
 /// Schedules a static call that does nothing at `at`.
-inline des::EventId no_op_at(des::Simulation& sim, SimTime at) {
-  return sim.schedule_static_at(
+inline void no_op_at(des::Simulation& sim, SimTime at) {
+  sim.schedule_static_at(
       at, [](void*, std::uint64_t, std::uint64_t) {}, nullptr, 0, 0);
 }
 
@@ -40,18 +39,14 @@ class ClosureArena {
   ClosureArena& operator=(const ClosureArena&) = delete;
 
   /// Schedules `fn` at absolute time `at` (>= sim.now()).
-  des::EventId at(SimTime at, std::function<void()> fn) {
-    const des::EventId id =
-        sim_.schedule_static_at(at, &trampoline, this, fns_.size(), 0);
+  void at(SimTime at, std::function<void()> fn) {
+    sim_.schedule_static_at(at, &trampoline, this, fns_.size(), 0);
     fns_.push_back(std::move(fn));
-    return id;
   }
   /// Schedules `fn` `delay` cycles from now.
-  des::EventId in(Cycles delay, std::function<void()> fn) {
-    return at(sim_.now() + delay, std::move(fn));
-  }
+  void in(Cycles delay, std::function<void()> fn) { at(sim_.now() + delay, std::move(fn)); }
   /// Schedules `fn` at now(), after pending same-time events.
-  des::EventId now(std::function<void()> fn) { return at(sim_.now(), std::move(fn)); }
+  void now(std::function<void()> fn) { at(sim_.now(), std::move(fn)); }
 
  private:
   static void trampoline(void* ctx, std::uint64_t index, std::uint64_t) {

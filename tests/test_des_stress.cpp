@@ -1,10 +1,9 @@
 // Stress and determinism tests of the simulation kernel: randomized
-// process populations, cancellation storms, and cross-run reproducibility.
+// process populations and cross-run reproducibility.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "closure_arena.hpp"
 #include "common/rng.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
@@ -80,25 +79,6 @@ TEST(DesStress, DifferentSeedsDiverge) {
   const ChaosResult a = run_chaos(1, 8, 20);
   const ChaosResult b = run_chaos(2, 8, 20);
   EXPECT_NE(a.final_time, b.final_time);
-}
-
-TEST(DesStress, CancellationStorm) {
-  Simulation sim;
-  test::ClosureArena events(sim);
-  Rng rng(5);
-  std::vector<EventId> ids;
-  int fired = 0;
-  for (int i = 0; i < 10'000; ++i) {
-    ids.push_back(events.at(rng.uniform(0.0, 1000.0), [&] { ++fired; }));
-  }
-  int cancelled = 0;
-  for (std::size_t i = 0; i < ids.size(); i += 2) {
-    cancelled += sim.cancel(ids[i]) ? 1 : 0;
-  }
-  sim.run();
-  EXPECT_EQ(cancelled, 5000);
-  EXPECT_EQ(fired, 5000);
-  EXPECT_EQ(sim.events_pending(), 0u);
 }
 
 Process spawner(Simulation& sim, int depth, int* leaves) {

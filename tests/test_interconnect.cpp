@@ -149,7 +149,6 @@ PacketConfig integer_config() {
   cfg.flit_bytes = 16;
   cfg.flit_cycle = 1.0;
   cfg.link_latency = 3.0;  // hop cost 4: integer arithmetic stays exact
-  cfg.router_latency = 0.0;
   cfg.credits = 8;
   return cfg;
 }
@@ -203,29 +202,16 @@ TEST(ZeroLoad, FlatMatchesAnalyticExactly) {
   }
 }
 
-TEST(ZeroLoad, RouterLatencyCountsInnerHopsOnly) {
-  const Topology topo = TopologyBuilder::mesh2d(3, 3);
-  PacketConfig cfg = integer_config();
-  cfg.router_latency = 2.0;
-  // 0 -> 8 is 4 hops through 3 intermediate routers.
-  const double expected = 4 * (1.0 + 3.0) + 3 * 2.0;
-  des::Simulation sim;
-  PacketNetwork net(sim, topo, cfg);
-  EXPECT_DOUBLE_EQ(net.zero_load_latency(0, 8, 8), expected);
-  EXPECT_DOUBLE_EQ(measure_one(topo, cfg, 0, 8, 8), expected);
-}
-
 TEST(ZeroLoad, MultiFlitPacketsPipeline) {
-  // 3 flits over 2 hops with router latency: body flits stream one
-  // flit_cycle behind each other, adding (F-1)*flit_cycle to the tail.
+  // 3 flits over 2 hops: body flits stream one flit_cycle behind each
+  // other, adding (F-1)*flit_cycle to the tail.
   const Topology topo = TopologyBuilder::ring(4);
   PacketConfig cfg;
   cfg.flit_bytes = 16;
   cfg.flit_cycle = 2.0;
   cfg.link_latency = 5.0;
-  cfg.router_latency = 1.0;
   cfg.credits = 8;
-  const double expected = 2 * (2.0 + 5.0) + 1 * 1.0 + 2 * 2.0;
+  const double expected = 2 * (2.0 + 5.0) + 2 * 2.0;  // 18
   des::Simulation sim;
   PacketNetwork net(sim, topo, cfg);
   EXPECT_DOUBLE_EQ(net.zero_load_latency(0, 2, 40), expected);

@@ -348,7 +348,7 @@ TEST(Streams, AccessIntoAReservedBankThrows) {
                LogicError);
   EXPECT_EQ(memory->accesses(), 1u);
   // Once simulated time reaches the reservation the bank is free again.
-  (void)test::no_op_at(sim, kTml);
+  test::no_op_at(sim, kTml);
   sim.run();
   memory->access(sim, 0, 32, AccessKind::kLwpRow, false, &ignore_completion,
                  nullptr, 0, 0);
@@ -417,7 +417,7 @@ TEST(Streams, GroupOwnsTheMemoryUntilItsLastStreamEnds) {
   EXPECT_EQ(memory->accesses(), 4u);
   EXPECT_FALSE(sim.step());  // nothing else was scheduled
   // Running: owned until 4 * TML.
-  (void)test::no_op_at(sim, 4 * kTml - 1.0);
+  test::no_op_at(sim, 4 * kTml - 1.0);
   sim.run();
   EXPECT_THROW(memory->access(sim, 0, 0, AccessKind::kLwpRow, false,
                               &ignore_completion, nullptr, 0, 0),
@@ -427,13 +427,13 @@ TEST(Streams, GroupOwnsTheMemoryUntilItsLastStreamEnds) {
   EXPECT_THROW((void)memory->run_stream(sim, 1, late, end_late,
                                         &ignore_completion, nullptr),
                LogicError);
-  (void)test::no_op_at(sim, 4 * kTml);
+  test::no_op_at(sim, 4 * kTml);
   sim.run();
   EXPECT_TRUE(memory->run_stream(sim, 1, late, end_late, &ignore_completion,
                                  nullptr));
   sim.run();
   EXPECT_EQ(end_late, 5 * kTml);
-  (void)test::no_op_at(sim, end_late);  // the owner's wait for its end
+  test::no_op_at(sim, end_late);  // the owner's wait for its end
   sim.run();
   memory->access(sim, 0, 0, AccessKind::kLwpRow, false, &ignore_completion,
                  nullptr, 0, 0);

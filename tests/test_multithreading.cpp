@@ -4,7 +4,6 @@
 
 #include "analytic/multithreading.hpp"
 #include "arch/mtlwp.hpp"
-#include "arch/pim_chip.hpp"
 #include "common/error.hpp"
 #include "des/simulation.hpp"
 
@@ -153,50 +152,6 @@ TEST(MtLwpSim, OpsAreConserved) {
 
 namespace pimsim::arch {
 namespace {
-
-TEST(PimChip, CapacityAndBandwidth) {
-  PimChipSpec chip;
-  // 4096 rows * 2048 bits = 1 MiB per node, 32 MiB per chip.
-  EXPECT_EQ(chip.node_capacity_bytes(), 1u << 20);
-  EXPECT_EQ(chip.chip_capacity_bytes(), 32u << 20);
-  EXPECT_GT(chip.peak_bandwidth_gbps(), 1000.0);  // > 1 Tbit/s at 32 nodes
-}
-
-TEST(PimChip, DerivedParamsMatchTableOneScale) {
-  PimChipSpec chip;
-  const SystemParams host = SystemParams::table1();
-  const SystemParams derived = chip.derive_params(host);
-  // TLcycle: 5 ns LWP clock over a 1 ns host cycle -> 5 cycles (Table 1).
-  EXPECT_DOUBLE_EQ(derived.tl_cycle, 5.0);
-  // TML: 20 + 2 ns row-buffer access -> 22 cycles; Table 1 uses the more
-  // conservative 30 (headroom for control/queuing), same regime.
-  EXPECT_DOUBLE_EQ(derived.t_ml, 22.0);
-  EXPECT_NEAR(derived.nb(), 10.1 / 4.0, 0.01);
-}
-
-TEST(PimChip, PeakGops) {
-  PimChipSpec chip;
-  // mix 0: one op per 5 ns per node -> 32/5 = 6.4 Gops.
-  EXPECT_NEAR(chip.peak_gops(0.0), 6.4, 1e-9);
-  // mix 1: one access per 22 ns per node.
-  EXPECT_NEAR(chip.peak_gops(1.0), 32.0 / 22.0, 1e-9);
-}
-
-TEST(PimChip, Validation) {
-  PimChipSpec chip;
-  chip.nodes = 0;
-  EXPECT_THROW(chip.validate(), ConfigError);
-  chip = PimChipSpec{};
-  chip.lwp_cycle_ns = 0.0;
-  EXPECT_THROW(chip.validate(), ConfigError);
-  chip = PimChipSpec{};
-  EXPECT_THROW(
-      {
-        const double g = chip.peak_gops(1.5);
-        ADD_FAILURE() << "peak_gops accepted IPC > 1, returned " << g;
-      },
-      ConfigError);
-}
 
 TEST(HwpTrace, MissRateEmergesFromAccessStream) {
   des::Simulation sim;

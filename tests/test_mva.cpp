@@ -1,6 +1,8 @@
 // Tests for exact Mean Value Analysis and its use in the parcel model.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analytic/parcel_model.hpp"
 #include "common/error.hpp"
 #include "parcel/system.hpp"

@@ -2,6 +2,8 @@
 // the Zipfian access pattern.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "analytic/hwp_lwp.hpp"
 #include "arch/host_system.hpp"
 #include "common/error.hpp"
