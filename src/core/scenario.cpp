@@ -159,6 +159,16 @@ ScenarioRegistry& ScenarioRegistry::global() {
 
 Table run_scenario(const Scenario& scenario, const Config& cfg,
                    const std::vector<std::string>& extra_allowed) {
+  // The run's simulations recycle each other's coroutine frames up to
+  // FramePool's ceiling; returning trims the calling thread's free lists,
+  // so a thread that runs scenarios back to back never pins their peak.
+  struct TrimFramesOnReturn {
+    TrimFramesOnReturn() = default;
+    TrimFramesOnReturn(const TrimFramesOnReturn&) = delete;
+    TrimFramesOnReturn& operator=(const TrimFramesOnReturn&) = delete;
+    ~TrimFramesOnReturn() { des::FramePool::trim(); }
+  } const trim_frames;
+
   std::vector<std::string> valid;
   valid.reserve(scenario.params.size());
   for (const ParamSpec& p : scenario.params) valid.push_back(p.key);
@@ -454,7 +464,8 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
       {p_int("maxnodes", "64", "1..2^20", "largest node count (pow2 axis)"),
        p_int("ops", "100000000", "> 0", "workload operations per run"),
        p_int("batch", "1000000", "> 0", "binomial batching granularity"),
-       p_reps(), p_seed(), p_threads()},
+       p_reps(), p_memory(), p_mem_banks(), p_mem_queue(), p_seed(),
+       p_threads()},
       [](const Config& cfg) {
         HostFigureConfig fig = HostFigureConfig::defaults_fig6();
         fig.node_counts = pow2_range(
@@ -464,6 +475,11 @@ void register_builtin_scenarios(ScenarioRegistry& registry) {
         fig.base.batch_ops =
             static_cast<std::uint64_t>(cfg.get_int("batch", 1'000'000));
         fig.base.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+        fig.base.memory.kind = cfg.get_string("memory", "analytic");
+        fig.base.memory.banks =
+            static_cast<std::size_t>(cfg.get_int("mem_banks", 0));
+        fig.base.memory.queue =
+            static_cast<std::size_t>(cfg.get_int("mem_queue", 0));
         fig.sweep_threads =
             static_cast<std::size_t>(cfg.get_int("threads", 0));
         return make_fig6(fig);

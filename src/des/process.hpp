@@ -49,18 +49,27 @@ namespace pimsim::des {
 /// Recycling allocator for coroutine frames (and join states).  Spawned
 /// frames escape their caller, so the compiler can never elide their
 /// allocation; instead each thread keeps one LIFO free list per 16-byte
-/// size class up to kMaxBlock.  Retention is bounded: a thread's lists
-/// hold at most kMaxRetainedBytes, and blocks freed beyond that (the
-/// teardown of a large simulation) go straight back to operator delete,
-/// so the pool never pins more than that much memory per thread.
+/// size class up to kMaxBlock.  Retention is bounded twice over:
+///  * a thread's lists hold at most kMaxRetainedBytes, enough for every
+///    frame of the largest Figure-12 cell (256 nodes x 32 contexts), so
+///    the simulations of one scenario run recycle each other's frames;
+///    blocks freed beyond that go straight back to operator delete;
+///  * trim() cuts the calling thread's lists back to kTrimmedBytes.
+///    core::run_scenario calls it on return, so between scenario runs a
+///    thread pins at most that much, and a thread's lists are released
+///    entirely when it exits.
 class FramePool {
  public:
   static constexpr std::size_t kGranule = 16;
   static constexpr std::size_t kMaxBlock = 1024;  ///< larger: operator new
-  static constexpr std::size_t kMaxRetainedBytes = std::size_t{512} << 10;
+  static constexpr std::size_t kMaxRetainedBytes = std::size_t{16} << 20;
+  static constexpr std::size_t kTrimmedBytes = std::size_t{512} << 10;
 
   [[nodiscard]] static void* allocate(std::size_t size);
   static void deallocate(void* block, std::size_t size) noexcept;
+  /// Returns the calling thread's free blocks to operator delete until
+  /// its lists hold at most kTrimmedBytes.
+  static void trim() noexcept;
 
   /// Bytes the calling thread's free lists currently hold (diagnostic).
   [[nodiscard]] static std::size_t retained_bytes() noexcept;

@@ -13,7 +13,7 @@ Resource::Resource(Simulation& sim, std::size_t capacity, std::string name)
 bool Resource::AcquireAwaitable::await_ready() {
   Resource& r = resource_;
   if (r.head_ == nullptr && r.capacity_ - r.in_use_ >= n_) {
-    r.grant(n_, r.sim_.now());
+    r.grant(n_);
     return true;
   }
   return false;
@@ -22,11 +22,9 @@ bool Resource::AcquireAwaitable::await_ready() {
 void Resource::AcquireAwaitable::await_suspend(Process::handle_type h) {
   Resource& r = resource_;
   waiter_ = &h.promise().hook;
-  enqueued_at_ = r.sim_.now();
   (r.tail_ != nullptr ? r.tail_->next_ : r.head_) = this;
   r.tail_ = this;
   ++r.queued_count_;
-  r.queued_.set(r.sim_.now(), static_cast<double>(r.queued_count_));
   // tracing_enabled() first: the mistake mailbox.hpp warns about — the
   // label lookup is not free on a hot path.
   if (r.sim_.tracing_enabled()) {
@@ -48,14 +46,13 @@ bool Resource::try_acquire(std::size_t n) {
   require(n > 0 && n <= capacity_,
           [&] { return "Resource '" + name_ + "': bad try_acquire"; });
   if (head_ != nullptr || capacity_ - in_use_ < n) return false;
-  grant(n, sim_.now());
+  grant(n);
   return true;
 }
 
-void Resource::grant(std::size_t n, SimTime enqueued_at) {
+void Resource::grant(std::size_t n) {
   in_use_ += n;
   ++grants_;
-  wait_.add(sim_.now() - enqueued_at);
   busy_.set(sim_.now(), static_cast<double>(in_use_));
   if (sim_.tracing_enabled()) sim_.trace(TraceKind::kResourceAcquire, trace_label());
 }
@@ -78,8 +75,7 @@ void Resource::drain_queue() {
     head_ = w->next_;
     if (head_ == nullptr) tail_ = nullptr;
     --queued_count_;
-    queued_.set(sim_.now(), static_cast<double>(queued_count_));
-    grant(w->n_, w->enqueued_at_);
+    grant(w->n_);
     sim_.resume_soon(*w->waiter_);
   }
 }
@@ -88,7 +84,5 @@ double Resource::utilization() const {
   const double cap = static_cast<double>(capacity_);
   return busy_.mean(sim_.now()) / cap;
 }
-
-double Resource::mean_queue_length() const { return queued_.mean(sim_.now()); }
 
 }  // namespace pimsim::des

@@ -1,5 +1,8 @@
 // Counted FIFO resource (the SES/Workbench "service/resource node"
-// equivalent) with built-in utilization and queueing statistics.
+// equivalent) with built-in utilization and grant counts.  Waiting-time
+// and queue-length statistics are the caller's to keep (a
+// queueing::ServiceCenter measures its own around acquire()), so no
+// grant or enqueue pays for an accumulator nobody reads.
 //
 // Strict FIFO: a request at the head that cannot yet be satisfied blocks
 // later (even smaller) requests — no bypass, matching the queuing
@@ -44,7 +47,6 @@ class Resource {
     // Queue node, meaningful only while suspended.
     AcquireAwaitable* next_ = nullptr;
     ProcessHook* waiter_ = nullptr;
-    SimTime enqueued_at_ = 0.0;
   };
 
   /// Requests n units (default 1); throws ConfigError if n > capacity.
@@ -65,15 +67,11 @@ class Resource {
   // --- statistics -------------------------------------------------------
   /// Time-average fraction of capacity in use over [0, now].
   [[nodiscard]] double utilization() const;
-  /// Time-average number of queued (not yet granted) requests.
-  [[nodiscard]] double mean_queue_length() const;
-  /// Waiting time statistics over granted requests.
-  [[nodiscard]] const RunningStats& wait_stats() const { return wait_; }
   /// Total grants so far.
   [[nodiscard]] std::uint64_t grants() const { return grants_; }
 
  private:
-  void grant(std::size_t n, SimTime enqueued_at);
+  void grant(std::size_t n);
   void drain_queue();
 
   /// Interns the resource name on first traced use (only reached behind a
@@ -92,8 +90,6 @@ class Resource {
   AcquireAwaitable* tail_ = nullptr;
   std::size_t queued_count_ = 0;
   TimeWeighted busy_;
-  TimeWeighted queued_;
-  RunningStats wait_;
   std::uint64_t grants_ = 0;
 };
 

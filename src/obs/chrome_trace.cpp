@@ -71,8 +71,14 @@ void write_blob(std::ostream& os, bool& first, int pid, const TraceBlob& blob) {
         break;
       default:
         os << ", \"tid\": 0, \"cat\": \"kernel\", \"ph\": \"i\", \"s\": \"t\", "
-           << "\"args\": {\"kind\": \"" << to_string(rec.kind) << "\", \"a\": " << rec.a
-           << "}";
+           << "\"args\": {\"kind\": \"" << to_string(rec.kind) << "\", \"a\": " << rec.a;
+        // The kernel's own instants carry the event's seq in `b`, which
+        // pairs a dispatch with its schedule.
+        if (rec.kind == des::TraceKind::kEventScheduled ||
+            rec.kind == des::TraceKind::kEventDispatched) {
+          os << ", \"b\": " << rec.b;
+        }
+        os << "}";
         break;
     }
     os << "}";

@@ -16,7 +16,10 @@ void ServiceCenter::submit(Job job) { sim_.spawn(serve(job)); }
 
 des::Process ServiceCenter::serve(Job job) {
   const SimTime arrived = sim_.now();
+  queued_.set(arrived, static_cast<double>(++waiting_));
   co_await servers_.acquire();
+  queued_.set(sim_.now(), static_cast<double>(--waiting_));
+  wait_.add(sim_.now() - arrived);
   const Cycles demand = service_time_();
   ensure(demand >= 0.0, "ServiceCenter '" + name_ + "': negative service time");
   co_await des::delay(sim_, demand);

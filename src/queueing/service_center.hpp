@@ -4,8 +4,16 @@
 // server, hold it for a sampled service time, and depart.  A DelayCenter
 // is an infinite-server ("pure delay") station.  Both collect the standard
 // steady-state observables.
+//
+// The station measures its queue itself, around each job's acquire of a
+// server: a job counts as waiting from its arrival until it resumes with
+// the grant, and its wait is that span.  The resume runs at the grant's
+// own instant, so the time-average queue length is the one the Resource's
+// queue would give; with one server, jobs also resume in grant order, so
+// the wait statistics accumulate in the same order, bit for bit.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -43,13 +51,12 @@ class ServiceCenter {
 
   [[nodiscard]] std::uint64_t completed() const { return completed_; }
   [[nodiscard]] double utilization() const { return servers_.utilization(); }
+  /// Time-average number of jobs waiting for a server.
   [[nodiscard]] double mean_queue_length() const {
-    return servers_.mean_queue_length();
+    return queued_.mean(sim_.now());
   }
   /// Waiting time in queue (excludes service).
-  [[nodiscard]] const RunningStats& wait_stats() const {
-    return servers_.wait_stats();
-  }
+  [[nodiscard]] const RunningStats& wait_stats() const { return wait_; }
   /// Sojourn time (queue + service) per job.
   [[nodiscard]] const RunningStats& response_stats() const { return response_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -61,6 +68,9 @@ class ServiceCenter {
   des::Resource servers_;
   ServiceTimeFn service_time_;
   DepartureFn on_departure_;
+  std::size_t waiting_ = 0;  // jobs between arrival and grant
+  TimeWeighted queued_;      // waiting_ over time
+  RunningStats wait_;
   RunningStats response_;
   std::uint64_t completed_ = 0;
   std::string name_;

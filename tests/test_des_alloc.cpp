@@ -9,12 +9,16 @@
 // many messages it delivers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <thread>
 
+#include "common/config.hpp"
+#include "common/error.hpp"
+#include "core/scenario.hpp"
 #include "des/mailbox.hpp"
 #include "des/process.hpp"
 #include "des/resource.hpp"
@@ -156,20 +160,45 @@ void on_fresh_thread(F body) {
   std::thread(body).join();
 }
 
-TEST(FramePool, RetentionStaysBounded) {
+/// Spawns `frames` processes that park forever, then tears them down with
+/// their simulation.  Each frame carries a pad, so 24000 of them outgrow
+/// the pool's ceiling.
+void tear_down_parked(int frames) {
+  Simulation sim;
+  Trigger never(sim);
+  auto parked = [](Trigger& t) -> Process {
+    std::array<unsigned char, 640> pad;
+    pad.fill(1);
+    co_await t.wait();
+    ensure(pad[pad.size() - 1] == 1, "pad survives the suspension");
+  };
+  for (int i = 0; i < frames; ++i) sim.spawn(parked(never));
+  sim.run();
+  EXPECT_EQ(never.waiting(), static_cast<std::size_t>(frames));
+}
+
+TEST(FramePool, TeardownRetainsUpToTheCeiling) {
   on_fresh_thread([] {
-    // Tearing down a simulation with far more live frames than the bound
-    // returns the excess to the allocator instead of pinning it.
-    {
-      Simulation sim;
-      Trigger never(sim);
-      auto parked = [](Trigger& t) -> Process { co_await t.wait(); };
-      for (int i = 0; i < 20000; ++i) sim.spawn(parked(never));
-      sim.run();
-      EXPECT_EQ(never.waiting(), 20000u);
-    }
-    EXPECT_GT(FramePool::retained_bytes(), FramePool::kMaxRetainedBytes / 2);
+    // The frames of a large simulation stay pooled for the next one on
+    // this thread (well past the trimmed size), but never past the
+    // ceiling: the excess goes back to the allocator.
+    tear_down_parked(24000);
+    EXPECT_GT(FramePool::retained_bytes(), FramePool::kTrimmedBytes);
     EXPECT_LE(FramePool::retained_bytes(), FramePool::kMaxRetainedBytes);
+  });
+}
+
+TEST(FramePool, TrimAndScenarioReturnCutRetentionBack) {
+  on_fresh_thread([] {
+    tear_down_parked(4000);
+    ASSERT_GT(FramePool::retained_bytes(), FramePool::kTrimmedBytes);
+    FramePool::trim();
+    EXPECT_LE(FramePool::retained_bytes(), FramePool::kTrimmedBytes);
+    // A scenario run recycles its simulations' frames and trims on return
+    // (threads=1: the points run on this thread).
+    (void)core::run_scenario(
+        "fig12", Config::from_string("sizes=64 pars=32 horizon=500 threads=1"));
+    EXPECT_LE(FramePool::retained_bytes(), FramePool::kTrimmedBytes);
   });
 }
 

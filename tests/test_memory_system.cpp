@@ -462,7 +462,7 @@ TEST(Streams, StreamWhileAccessesAreInFlightThrows) {
 TEST(MemorySeam, AnalyticDefaultBitwiseEqualsExplicitAnalytic) {
   // The seam's acceptance gate: the default figures are bit-identical to
   // an explicit memory=analytic run (the scenario wiring adds no state).
-  for (const char* name : {"fig5", "fig7"}) {
+  for (const char* name : {"fig5", "fig6", "fig7"}) {
     const auto& s = core::ScenarioRegistry::global().get(name);
     const Config base = Config::from_string(s.verify_params);
     const Config explicit_cfg =
@@ -471,7 +471,7 @@ TEST(MemorySeam, AnalyticDefaultBitwiseEqualsExplicitAnalytic) {
         core::table_fingerprint(core::run_scenario(s, base));
     // fig7 is analytic-only and declares no memory knob; fall back to the
     // default config for it (the loop still pins its rerun determinism).
-    const bool has_knob = name == std::string("fig5");
+    const bool has_knob = name != std::string("fig7");
     const auto fp_explicit = core::table_fingerprint(
         core::run_scenario(s, has_knob ? explicit_cfg : base));
     EXPECT_EQ(fp_default, fp_explicit) << name;
@@ -488,15 +488,17 @@ TEST(MemorySeam, BankedRunsAreBitIdenticalAcrossReruns) {
   // only `pimsim verify strict=1` enforces it (scenario.hpp).
 }
 
-TEST(MemorySeam, Fig5BankedIsDeterministicAndSlower) {
-  const auto& s = core::ScenarioRegistry::global().get("fig5");
-  const Config banked =
-      Config::from_string(s.verify_params + " memory=banked mem_banks=1");
-  const auto fp1 = core::table_fingerprint(core::run_scenario(s, banked));
-  const auto fp2 = core::table_fingerprint(core::run_scenario(s, banked));
-  EXPECT_EQ(fp1, fp2);
-  const Config base = Config::from_string(s.verify_params);
-  EXPECT_NE(fp1, core::table_fingerprint(core::run_scenario(s, base)));
+TEST(MemorySeam, HostFiguresBankedAreDeterministicAndDiffer) {
+  for (const char* name : {"fig5", "fig6"}) {
+    const auto& s = core::ScenarioRegistry::global().get(name);
+    const Config banked =
+        Config::from_string(s.verify_params + " memory=banked mem_banks=1");
+    const auto fp1 = core::table_fingerprint(core::run_scenario(s, banked));
+    const auto fp2 = core::table_fingerprint(core::run_scenario(s, banked));
+    EXPECT_EQ(fp1, fp2) << name;
+    const Config base = Config::from_string(s.verify_params);
+    EXPECT_NE(fp1, core::table_fingerprint(core::run_scenario(s, base))) << name;
+  }
 }
 
 }  // namespace

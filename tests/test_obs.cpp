@@ -318,6 +318,36 @@ TEST(ChromeTrace, DropCounterReachesDocumentMetadata) {
   EXPECT_NE(os.str().find("\"dropped\": 3"), std::string::npos);
 }
 
+TEST(ChromeTrace, KernelInstantsCarryTheirSeq) {
+  // A wake's scheduled and dispatched instants pair by `b` (the seq);
+  // every other instant keeps its `a`-only args, so default-kind trace
+  // files do not change.
+  des::Simulation sim;
+  sim.set_trace(true);
+  auto body = [](des::Simulation& s) -> des::Process {
+    co_await des::delay(s, 1.0);
+  };
+  sim.spawn(body(sim));
+  sim.run();
+  std::ostringstream os;
+  write_chrome_trace(os, {TraceBlob{sim.tracer()->labels(),
+                                    sim.tracer()->records(),
+                                    sim.tracer()->dropped()}});
+  const std::string text = os.str();
+  EXPECT_TRUE(json_balanced(text));
+  for (const char* kind : {"event-scheduled", "event-dispatched"}) {
+    for (const char* seq : {"1", "2"}) {
+      const std::string args = "\"kind\": \"" + std::string(kind) +
+                               "\", \"a\": 0, \"b\": " + seq + "}";
+      EXPECT_NE(text.find(args), std::string::npos) << args;
+    }
+  }
+  EXPECT_NE(text.find("\"kind\": \"process-spawned\", \"a\": 0}"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"kind\": \"process-finished\", \"a\": 0}"),
+            std::string::npos);
+}
+
 // --- run options and sessions --------------------------------------------
 
 /// Sets (or, with nullopt, unsets) one environment variable for a scope,

@@ -96,6 +96,12 @@ TEST(Md1Simulation, DeterministicServiceMatchesPK) {
 
   const double expected = md1_mean_wait(spec.lambda, 1.0) + 1.0;
   EXPECT_NEAR(response.mean(), expected, 0.06 * expected);
+  // The center's own wait and queue-length measurements reproduce, bit for
+  // bit, the accumulators the servers' Resource used to keep (pinned from
+  // that build; gcc 12.2, glibc libm).
+  EXPECT_EQ(center.wait_stats().count(), spec.jobs);
+  EXPECT_EQ(center.wait_stats().mean(), 0x1.2d29402b3934ap+0);
+  EXPECT_EQ(center.mean_queue_length(), 0x1.a524c03057fd8p-1);
 }
 
 TEST(Formulas, RejectUnstableQueues) {
@@ -188,6 +194,19 @@ TEST(ServiceCenter, DeterministicServiceTimesAreExact) {
   EXPECT_DOUBLE_EQ(sim.now(), 20.0);
   // Response times: 5, 10, 15, 20 -> mean 12.5.
   EXPECT_DOUBLE_EQ(center.response_stats().mean(), 12.5);
+}
+
+TEST(ServiceCenter, WaitStatsMeasureQueueingDelay) {
+  des::Simulation sim;
+  ServiceCenter center(sim, 1, [] { return 10.0; }, "fifo");
+  for (std::uint64_t i = 0; i < 3; ++i) center.submit(Job{i, 0.0});
+  sim.run();
+  EXPECT_EQ(center.completed(), 3u);
+  // Waits: 0, 10, 20 -> mean 10.
+  EXPECT_EQ(center.wait_stats().count(), 3u);
+  EXPECT_DOUBLE_EQ(center.wait_stats().mean(), 10.0);
+  // Two jobs wait over [0, 10), one over [10, 20), none over [20, 30).
+  EXPECT_DOUBLE_EQ(center.mean_queue_length(), 1.0);
 }
 
 TEST(ServiceCenter, DepartureHookFires) {

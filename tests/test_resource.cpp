@@ -132,17 +132,6 @@ TEST(Resource, UtilizationIntegratesBusyTime) {
   EXPECT_NEAR(r.utilization(), 0.5, 1e-9);
 }
 
-TEST(Resource, WaitStatsMeasureQueueingDelay) {
-  Simulation sim;
-  Resource r(sim, 1);
-  std::vector<std::pair<int, double>> grants;
-  for (int i = 0; i < 3; ++i) sim.spawn(hold(sim, r, 10.0, i, &grants));
-  sim.run();
-  // Waits: 0, 10, 20 -> mean 10.
-  EXPECT_NEAR(r.wait_stats().mean(), 10.0, 1e-9);
-  EXPECT_EQ(r.grants(), 3u);
-}
-
 TEST(Resource, RejectsMisuse) {
   Simulation sim;
   Resource r(sim, 2);
