@@ -1,7 +1,7 @@
 // Event-kernel microbenchmark: dispatch throughput in events per second.
 //
 // Self-contained (no google-benchmark dependency) so the CI smoke job can
-// always build it.  Nine workloads stress the kernel paths the rest of
+// always build it.  Eight workloads stress the kernel paths the rest of
 // the repo funnels through:
 //
 //   dispatch    N one-shot static calls pre-loaded into the calendar
@@ -22,9 +22,6 @@
 //   manyprocs   8192 live processes (the fig12 grid's 256 nodes x 32
 //               contexts) each looping geometric delays: the cost of a
 //               wake when the working set of frames is far out of cache
-//   simchurn    short simulations (16 processes, ~200 events) built, run
-//               and destroyed back to back: the per-simulation fixed cost
-//               a sweep pays once per point
 //
 // Each workload runs `reps` times; every repetition is recorded in a
 // BENCH_engine.json trajectory (best repetition is the headline number).
@@ -32,7 +29,6 @@
 // Usage: bench_engine [events=200000] [reps=5] [csv=1]
 //                     [json=BENCH_engine.json]   (json=- disables)
 //                     [floors=bench/baselines.json]  (perf guard)
-#include <algorithm>
 #include <array>
 #include <chrono>
 #include <iostream>
@@ -316,36 +312,6 @@ Sample run_manyprocs(std::uint64_t events) {
   });
 }
 
-// --- simchurn: short simulations built and torn down --------------------
-
-des::Process churn_hops(des::Simulation& sim, std::uint64_t hops) {
-  for (std::uint64_t i = 0; i < hops; ++i) {
-    co_await des::delay(sim, static_cast<double>(1 + i % 3));
-  }
-}
-
-Sample run_simchurn(std::uint64_t events) {
-  // 16 processes x (start + 12 hops) = 208 dispatches per simulation; the
-  // clock runs across construction, the run and the teardown.
-  constexpr std::uint64_t kProcs = 16;
-  constexpr std::uint64_t kHops = 12;
-  const std::uint64_t sims = std::max<std::uint64_t>(1, events / (kProcs * (kHops + 1)));
-  Sample total;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t n = 0; n < sims; ++n) {
-    des::Simulation sim;
-    for (std::uint64_t p = 0; p < kProcs; ++p) sim.spawn(churn_hops(sim, kHops));
-    sim.run();
-    total.events += sim.events_dispatched();
-  }
-  total.seconds = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  ensure(total.events == sims * kProcs * (kHops + 1),
-         "bench_engine: simchurn lost events");
-  return total;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -364,7 +330,7 @@ int main(int argc, char** argv) {
     std::uint64_t pingpong_events_once = 0;
     for (const char* name :
          {"dispatch", "delayloop", "fracdelay", "keyed", "pingpong",
-          "timerwheel", "spawnchurn", "manyprocs", "simchurn"}) {
+          "timerwheel", "spawnchurn", "manyprocs"}) {
       WorkloadResult r;
       r.name = name;
       for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -390,10 +356,8 @@ int main(int argc, char** argv) {
           s = run_timerwheel(events);
         } else if (r.name == "spawnchurn") {
           s = run_spawnchurn(events);
-        } else if (r.name == "manyprocs") {
-          s = run_manyprocs(events);
         } else {
-          s = run_simchurn(events);
+          s = run_manyprocs(events);
         }
         r.samples.push_back(s);
       }

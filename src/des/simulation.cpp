@@ -25,31 +25,6 @@ static_assert(std::is_standard_layout_v<ProcessHook> &&
 
 namespace {
 
-/// One thread's spare wheel bucket array.  Trivially destructible and
-/// constant-initialized, like FramePool's lists, so it stays readable
-/// after SpareReaper ran (an array given back during thread shutdown is
-/// then freed at once).
-struct SpareBuckets {
-  void* array;
-  bool armed;   // SpareReaper registered for this thread
-  bool closed;  // the thread is exiting: nothing more is kept
-};
-
-// lint:allow(mutable-static): per-thread, so never shared; it decides only which memory a wheel reuses, never model state
-constinit thread_local SpareBuckets tls_spare{};
-
-/// Frees the thread's spare at thread exit, so it never outlives its
-/// thread or shows up as a leak.
-struct SpareReaper {
-  SpareReaper() = default;
-  SpareReaper(const SpareReaper&) = delete;
-  SpareReaper& operator=(const SpareReaper&) = delete;
-  ~SpareReaper() {
-    tls_spare.closed = true;
-    ::operator delete(std::exchange(tls_spare.array, nullptr));
-  }
-};
-
 /// Hints the cache to fetch the node that dispatches next (a hint only,
 /// never a load): its key and link, and for a wake node the lines of its
 /// coroutine frame that the resume touches first.
@@ -97,7 +72,6 @@ Simulation::~Simulation() {
   for (const ProcessHook* hook : frames) {
     std::coroutine_handle<>::from_address(hook->frame).destroy();
   }
-  give_back_wheel_buckets(std::exchange(wheel_buckets_, nullptr));
   if (audit_) AuditRegistry::global().absorb(*audit_);
   // Publish enabled observability layers to their process-wide hubs.
   if (metrics_) {
@@ -196,35 +170,6 @@ void Simulation::sift_down(std::size_t i) {
 }
 
 // --- timing wheel --------------------------------------------------------
-
-// Every simulation with a future event needs the 64 KiB bucket array, and
-// a sweep builds thousands of simulations per thread, one after another:
-// the spare turns that into one allocation per thread.  Reuse is safe
-// because the bitmap, cleared in every new simulation, says which buckets
-// hold meaningful heads and tails.
-Simulation::WheelBucket* Simulation::take_wheel_buckets() {
-  if (void* spare = std::exchange(tls_spare.array, nullptr)) {
-    return static_cast<WheelBucket*>(spare);
-  }
-  return static_cast<WheelBucket*>(
-      ::operator new(kWheelBuckets * sizeof(WheelBucket)));
-}
-
-void Simulation::give_back_wheel_buckets(WheelBucket* buckets) noexcept {
-  if (buckets == nullptr) return;
-  SpareBuckets& spare = tls_spare;
-  if (spare.closed || spare.array != nullptr) {
-    ::operator delete(buckets);
-    return;
-  }
-  if (!spare.armed) {
-    // lint:allow(mutable-static): per-thread exit hook; holds no data
-    thread_local SpareReaper reaper;
-    (void)reaper;
-    spare.armed = true;
-  }
-  spare.array = buckets;
-}
 
 std::size_t Simulation::wheel_front_bucket() const {
   // Every wheel entry's tick lies in [now_tick_, now_tick_ +

@@ -458,13 +458,6 @@ class Simulation {
     CalendarNode* tail;
   };
 
-  /// The bucket array: the calling thread's spare (left by the last
-  /// simulation it destroyed) when it has one, else a new allocation.
-  /// ~Simulation gives it back as the spare; a thread's spare is freed
-  /// at thread exit.
-  static WheelBucket* take_wheel_buckets();
-  static void give_back_wheel_buckets(WheelBucket* buckets) noexcept;
-
   void calendar_push(SimTime at, CalendarNode& node);
   void wheel_push(SimTime at, CalendarNode& node);
   void wheel_insert(std::size_t bucket, CalendarNode& node);
@@ -479,9 +472,8 @@ class Simulation {
   std::size_t live_records_ = 0;  // pending pooled events
   std::size_t live_wakes_ = 0;    // pending process wakes
   std::vector<HeapEntry> heap_;
-  // Timing wheel state.  Buckets are taken on first use and never
-  // initialized: the bitmap says which heads/tails are meaningful, so a
-  // recycled array's stale contents are never read.
+  // Timing wheel state.  Buckets are allocated on first use and never
+  // initialized: the bitmap says which heads/tails are meaningful.
   std::size_t wheel_size_ = 0;  // entries
   // wheel_tick(now_): bucket scans start here.  Wheel ticks stay below
   // 2^53, so they use signed conversions, one instruction each on x86-64
@@ -490,7 +482,7 @@ class Simulation {
   SimTime wheel_limit_ = static_cast<SimTime>(kWheelSpan);
   std::uint64_t wheel_summary_ = 0;  // bit w set iff wheel_bits_[w] != 0
   std::array<std::uint64_t, kWheelWords> wheel_bits_{};
-  WheelBucket* wheel_buckets_ = nullptr;  // owned: take/give_back_wheel_buckets
+  std::unique_ptr<WheelBucket[]> wheel_buckets_;
   // Immediate lane: every node is at time now_, in seq order.
   CalendarNode* lane_head_ = nullptr;
   CalendarNode* lane_tail_ = nullptr;
@@ -546,7 +538,9 @@ inline void Simulation::lane_push(CalendarNode& node) {
 }
 
 inline void Simulation::wheel_push(SimTime at, CalendarNode& node) {
-  if (wheel_buckets_ == nullptr) wheel_buckets_ = take_wheel_buckets();
+  if (!wheel_buckets_) {
+    wheel_buckets_ = std::make_unique_for_overwrite<WheelBucket[]>(kWheelBuckets);
+  }
   const auto b = static_cast<std::size_t>(wheel_tick(at)) & kWheelMask;
   WheelBucket& bucket = wheel_buckets_[b];
   std::uint64_t& word = wheel_bits_[b / 64];

@@ -160,14 +160,17 @@ void on_fresh_thread(F body) {
   std::thread(body).join();
 }
 
+/// Each parked frame carries a pad of this many bytes, so a frame is at
+/// least this large (and, at under kMaxBlock, still pooled).
+constexpr std::size_t kParkedPad = 640;
+
 /// Spawns `frames` processes that park forever, then tears them down with
-/// their simulation.  Each frame carries a pad, so 24000 of them outgrow
-/// the pool's ceiling.
+/// their simulation.
 void tear_down_parked(int frames) {
   Simulation sim;
   Trigger never(sim);
   auto parked = [](Trigger& t) -> Process {
-    std::array<unsigned char, 640> pad;
+    std::array<unsigned char, kParkedPad> pad;
     pad.fill(1);
     co_await t.wait();
     ensure(pad[pad.size() - 1] == 1, "pad survives the suspension");
@@ -181,9 +184,14 @@ TEST(FramePool, TeardownRetainsUpToTheCeiling) {
   on_fresh_thread([] {
     // The frames of a large simulation stay pooled for the next one on
     // this thread (well past the trimmed size), but never past the
-    // ceiling: the excess goes back to the allocator.
-    tear_down_parked(24000);
-    EXPECT_GT(FramePool::retained_bytes(), FramePool::kTrimmedBytes);
+    // ceiling: the excess goes back to the allocator.  The frames add up
+    // to at least twice the ceiling, whatever the compiler's frame size,
+    // so the pool must fill to within one block of it and then overflow.
+    constexpr int kFrames =
+        static_cast<int>(2 * FramePool::kMaxRetainedBytes / kParkedPad);
+    tear_down_parked(kFrames);
+    EXPECT_GT(FramePool::retained_bytes(),
+              FramePool::kMaxRetainedBytes - FramePool::kMaxBlock);
     EXPECT_LE(FramePool::retained_bytes(), FramePool::kMaxRetainedBytes);
   });
 }

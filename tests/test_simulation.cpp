@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -99,45 +98,6 @@ TEST(Simulation, TeardownRunsNoPendingEvent) {
     EXPECT_EQ(sim.events_pending(), 149u);
   }
   EXPECT_EQ(fired, 151);
-}
-
-/// Process hopping through `hops` quarter-cycle-multiple geometric delays.
-Process geometric_hops(Simulation& sim, Rng& rng, int hops) {
-  for (int i = 0; i < hops; ++i) {
-    co_await delay(sim, 0.25 * static_cast<double>(1 + rng.geometric(0.02)));
-  }
-}
-
-/// Audited run of 16 hopping processes, checking the calendar after every
-/// dispatch; returns the event chain hash and the dispatch count.
-std::pair<std::uint64_t, std::uint64_t> audited_small_run() {
-  Simulation sim;
-  sim.set_audit(true);
-  Rng rng(3);
-  for (int p = 0; p < 16; ++p) sim.spawn(geometric_hops(sim, rng, 40));
-  while (sim.step()) sim.audit_check_now();
-  return {sim.audit_log()->hash(), sim.events_dispatched()};
-}
-
-TEST(Simulation, RecycledWheelBucketsAreNeverRead) {
-  // A destroyed simulation leaves its bucket array to the next one on its
-  // thread, stale heads and tails included (pointing into freed frames).
-  // The next simulation must read only the buckets its own bitmap marks.
-  std::pair<std::uint64_t, std::uint64_t> reused{};
-  std::thread([&] {
-    {
-      Simulation big;
-      Rng rng(5);
-      for (int p = 0; p < 4096; ++p) big.spawn(geometric_hops(big, rng, 1000));
-      big.run_until(300.0);
-      EXPECT_GT(big.events_pending(), 4000u);  // stale links in many buckets
-    }
-    reused = audited_small_run();
-  }).join();
-  std::pair<std::uint64_t, std::uint64_t> fresh{};
-  std::thread([&] { fresh = audited_small_run(); }).join();
-  EXPECT_EQ(reused, fresh);
-  EXPECT_GT(fresh.second, 16u * 40u);
 }
 
 void throw_call(void*, std::uint64_t, std::uint64_t) {
